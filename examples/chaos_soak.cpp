@@ -42,11 +42,12 @@
 //   --sample-frac F sampling policy: fraction of ranks probed per round
 //   --quantile Q    sampling policy: load quantile stolen from
 //   --lifeline-dim D  lifeline policy: hypercube dimension cap
-//   --crash R@NS    force this fail-stop into every campaign (except
-//                   work-push, which excludes crashes by design); requires
-//                   --nranks so R can be validated against the run shape
-//   --drain R@NS    force this graceful leave into every campaign
-//   --join R@NS     force this late join into every campaign
+//   --crash R@NS[,R@NS...]  force these fail-stops into every campaign
+//                   (except work-push, which excludes crashes by design);
+//                   requires --nranks so R can be validated against the
+//                   run shape
+//   --drain R@NS[,R@NS...]  force these graceful leaves into every campaign
+//   --join R@NS[,R@NS...]   force these late joins into every campaign
 //   --psim          attach an observer to the psim differential re-runs and
 //                   aggregate the PDES window telemetry across the soak
 //                   (pure observation: outcomes are unchanged)
@@ -100,18 +101,14 @@ std::uint64_t parse_u64(const char* s, const char* flag) {
   return static_cast<std::uint64_t>(v);
 }
 
-/// "RANK@NS" for the forced-fault flags, rejecting negatives outright.
-std::pair<int, std::uint64_t> parse_rank_at(const std::string& spec,
-                                            const char* flag) {
-  const std::string want = std::string("bad ") + flag + " spec (want RANK@NS)";
-  if (spec.find('-') != std::string::npos) usage(want);
-  int rank = -1;
-  unsigned long long at = 0;
-  int consumed = 0;
-  if (std::sscanf(spec.c_str(), "%d@%llu%n", &rank, &at, &consumed) < 2 ||
-      spec[static_cast<std::size_t>(consumed)] != '\0')
-    usage(want);
-  return {rank, static_cast<std::uint64_t>(at)};
+/// "RANK@NS[,RANK@NS...]" for the forced-fault flags, through the shared
+/// fault-plan codec; a malformed spec is a usage error.
+std::vector<pgas::RankAt> rank_at_list(const char* spec, const char* flag) {
+  try {
+    return pgas::parse_rank_at_list(spec, flag);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }
 
 /// One campaign's random draw: a CheckSpec plus which fault classes it
@@ -234,16 +231,7 @@ check::RunOutcome run_real(pgas::Engine& eng, const check::CheckSpec& s,
   rc.nranks = s.nranks;
   rc.net = check::net_by_name(s.net);
   rc.seed = s.run_seed;
-  rc.faults.stall_ns = s.stall_ns;
-  rc.faults.stall_period_ns = s.stall_period_ns;
-  rc.faults.stall_rank = s.stall_rank;
-  rc.faults.drop_prob = s.drop_prob;
-  rc.faults.dup_prob = s.dup_prob;
-  rc.faults.crashes = s.crashes;
-  rc.faults.crash_detect_ns = s.crash_detect_ns;
-  rc.faults.drains = s.drains;
-  rc.faults.joins = s.joins;
-  rc.faults.partitions = s.partitions;
+  rc.faults = s.fault_plan();
 
   const ws::UtsProblem prob(s.tree);
   ws::WsConfig cfg = ws::WsConfig::for_algo(s.algo, s.chunk);
@@ -378,17 +366,14 @@ int main(int argc, char** argv) {
     else if (a == "--lifeline-dim")
       lifeline_dim = static_cast<int>(parse_u64(next(), "--lifeline-dim"));
     else if (a == "--crash") {
-      const auto [r, at] = parse_rank_at(next(), "--crash");
-      pgas::CrashSpec cs;
-      cs.rank = r;
-      cs.at_ns = at;
-      forced_crashes.push_back(cs);
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
+        forced_crashes.push_back({ra.rank, ra.at_ns});
     } else if (a == "--drain") {
-      const auto [r, at] = parse_rank_at(next(), "--drain");
-      forced_drains.push_back(pgas::DrainSpec{r, at});
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--drain"))
+        forced_drains.push_back({ra.rank, ra.at_ns});
     } else if (a == "--join") {
-      const auto [r, at] = parse_rank_at(next(), "--join");
-      forced_joins.push_back(pgas::JoinSpec{r, at});
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--join"))
+        forced_joins.push_back({ra.rank, ra.at_ns});
     } else if (a == "--json")
       json_path = next();
     else if (a == "--psim")
@@ -427,15 +412,20 @@ int main(int argc, char** argv) {
                           !forced_joins.empty();
   if (any_forced && pin_nranks == 0)
     usage("--crash/--drain/--join need --nranks to validate ranks against");
-  auto check_rank = [&](const char* flag, int r) {
-    if (r < 1 || r >= pin_nranks)
-      usage(std::string(flag) + " rank " + std::to_string(r) +
-            " out of range [1," + std::to_string(pin_nranks) +
-            ") (rank 0 seeds the root)");
-  };
-  for (const auto& c : forced_crashes) check_rank("--crash", c.rank);
-  for (const auto& d : forced_drains) check_rank("--drain", d.rank);
-  for (const auto& j : forced_joins) check_rank("--join", j.rank);
+  pgas::FaultPlan forced;
+  forced.crashes = forced_crashes;
+  forced.drains = forced_drains;
+  forced.joins = forced_joins;
+  try {
+    pgas::validate_plan(forced, pin_nranks);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
+  // Campaigns never take rank 0 out of the membership: it seeds the root.
+  for (const auto& c : forced_crashes)
+    if (c.rank == 0) usage("--crash rank 0 is invalid (rank 0 seeds the root)");
+  for (const auto& d : forced_drains)
+    if (d.rank == 0) usage("--drain rank 0 is invalid (rank 0 seeds the root)");
   if (pin_nranks != 0 &&
       forced_crashes.size() + forced_drains.size() >
           static_cast<std::size_t>(pin_nranks - 2))

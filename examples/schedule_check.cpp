@@ -84,23 +84,13 @@ const char* strategy_name(check::Strategy s) {
   return "?";
 }
 
-void parse_crashes(const std::string& spec, std::vector<pgas::CrashSpec>& out) {
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    int rank = -1;
-    unsigned long long at = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%d@%llu%n", &rank, &at, &consumed) < 2 || rank < 0)
-      usage("bad --crash spec (want RANK@NS[,RANK@NS...])");
-    pgas::CrashSpec c;
-    c.rank = rank;
-    c.at_ns = at;
-    out.push_back(c);
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage("bad --crash spec");
+/// "RANK@NS[,RANK@NS...]" through the shared fault-plan codec; a malformed
+/// spec is a usage error.
+std::vector<pgas::RankAt> rank_at_list(const char* spec, const char* flag) {
+  try {
+    return pgas::parse_rank_at_list(spec, flag);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -302,9 +292,10 @@ int main(int argc, char** argv) {
       spec.steal_timeout_ns = static_cast<std::uint64_t>(std::atoll(next()));
     else if (a == "--watchdog-ms")
       spec.watchdog_ns = static_cast<std::uint64_t>(std::atof(next()) * 1e6);
-    else if (a == "--crash")
-      parse_crashes(next(), spec.crashes);
-    else if (a == "--crash-in-lock")
+    else if (a == "--crash") {
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
+        spec.crashes.push_back({ra.rank, ra.at_ns});
+    } else if (a == "--crash-in-lock")
       crash_where = pgas::CrashSpec::Where::kInLock;
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
@@ -339,6 +330,11 @@ int main(int argc, char** argv) {
   }
 
   for (pgas::CrashSpec& c : spec.crashes) c.where = crash_where;
+  try {
+    pgas::validate_plan(spec.fault_plan(), spec.nranks);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 
   if (smoke) return budget_smoke();
 

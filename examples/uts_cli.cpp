@@ -152,37 +152,14 @@ std::uint64_t parse_u64(const char* s, const char* flag) {
   return static_cast<std::uint64_t>(v);
 }
 
-/// "RANK@NS[,RANK@NS...]" -> (rank, at_ns) pairs handed to `add`.
-template <typename F>
-void parse_rank_at_list(const std::string& spec, const char* flag, F add) {
-  const std::string want =
-      std::string("bad ") + flag + " spec (want RANK@NS[,RANK@NS...])";
-  // Negative ranks/times would wrap through the unsigned scan: refuse.
-  if (spec.find('-') != std::string::npos) usage(want.c_str());
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    int rank = -1;
-    unsigned long long at = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%d@%llu%n", &rank, &at, &consumed) < 2)
-      usage(want.c_str());
-    add(rank, static_cast<std::uint64_t>(at));
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage(want.c_str());
+/// "RANK@NS[,RANK@NS...]" through the shared fault-plan codec; a malformed
+/// spec is a usage error.
+std::vector<pgas::RankAt> rank_at_list(const char* spec, const char* flag) {
+  try {
+    return pgas::parse_rank_at_list(spec, flag);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
-}
-
-/// "RANK@NS[,RANK@NS...]" -> fail-stop specs appended to the plan.
-void parse_crashes(const std::string& spec, pgas::FaultPlan& plan) {
-  parse_rank_at_list(spec, "--crash", [&](int rank, std::uint64_t at) {
-    pgas::CrashSpec c;
-    c.rank = rank;
-    c.at_ns = at;
-    plan.crashes.push_back(c);
-  });
 }
 
 /// "MASK:START:HEAL[,...]" -> partition specs appended to the plan.
@@ -342,26 +319,26 @@ int main(int argc, char** argv) {
       watchdog_ms = std::atof(next());
     else if (a == "--deadline-ns" || a == "--deadline")
       deadline_ns = parse_u64(next(), "--deadline-ns");
-    else if (a == "--crash")
-      parse_crashes(next(), faults);
-    else if (a == "--crash-in-lock")
+    else if (a == "--crash") {
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
+        faults.crashes.push_back({ra.rank, ra.at_ns});
+    } else if (a == "--crash-in-lock")
       crash_where = pgas::CrashSpec::Where::kInLock;
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
     else if (a == "--crash-detect")
       faults.crash_detect_ns = parse_u64(next(), "--crash-detect");
-    else if (a == "--drain")
-      parse_rank_at_list(next(), "--drain", [&](int rank, std::uint64_t at) {
-        faults.drains.push_back(pgas::DrainSpec{rank, at});
-      });
-    else if (a == "--join")
-      parse_rank_at_list(next(), "--join", [&](int rank, std::uint64_t at) {
-        faults.joins.push_back(pgas::JoinSpec{rank, at});
-      });
-    else if (a == "--partition")
+    else if (a == "--drain") {
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--drain"))
+        faults.drains.push_back({ra.rank, ra.at_ns});
+    } else if (a == "--join") {
+      for (const pgas::RankAt& ra : rank_at_list(next(), "--join"))
+        faults.joins.push_back({ra.rank, ra.at_ns});
+    } else if (a == "--partition") {
       parse_partitions(next(), faults);
-    else
+    } else {
       usage(("unknown flag " + a).c_str());
+    }
   }
 
   if (!replay_path.empty()) {
@@ -419,39 +396,10 @@ int main(int argc, char** argv) {
     fault_error("--psim-window-metrics requires -e psim (window telemetry "
                 "only exists under the conservative-PDES engine)");
   if (watchdog_ms < 0.0) fault_error("--watchdog-ms must be >= 0");
-  if (faults.stalls_enabled() && faults.stall_rank >= nranks)
-    fault_error("--stall rank " + std::to_string(faults.stall_rank) +
-                " out of range [0," + std::to_string(nranks) +
-                ") (or -1 for all ranks)");
-  if (faults.drop_prob < 0.0 || faults.drop_prob > 1.0)
-    fault_error("--drop-prob must be a probability in [0,1]");
-  if (faults.dup_prob < 0.0 || faults.dup_prob > 1.0)
-    fault_error("--dup-prob must be a probability in [0,1]");
-  for (const pgas::CrashSpec& c : faults.crashes)
-    if (c.rank < 0 || c.rank >= nranks)
-      fault_error("--crash rank " + std::to_string(c.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-  for (const pgas::DrainSpec& d : faults.drains)
-    if (d.rank < 0 || d.rank >= nranks)
-      fault_error("--drain rank " + std::to_string(d.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-  for (const pgas::JoinSpec& j : faults.joins) {
-    if (j.rank < 0 || j.rank >= nranks)
-      fault_error("--join rank " + std::to_string(j.rank) +
-                  " out of range [0," + std::to_string(nranks) + ")");
-    if (j.rank == 0)
-      fault_error("--join rank 0 is invalid (rank 0 seeds the root)");
-  }
-  for (const pgas::PartitionSpec& ps : faults.partitions) {
-    if (ps.heal_ns <= ps.start_ns)
-      fault_error("--partition heal time must be after its start time");
-    const std::uint64_t all =
-        nranks >= 64 ? ~0ull : ((1ull << nranks) - 1);
-    if ((ps.group_mask & ~all) != 0)
-      fault_error("--partition mask names ranks >= " +
-                  std::to_string(nranks));
-    if (ps.group_mask == 0 || ps.group_mask == all)
-      fault_error("--partition mask must leave both sides nonempty");
+  try {
+    pgas::validate_plan(faults, nranks);
+  } catch (const std::invalid_argument& e) {
+    fault_error(e.what());
   }
 
   pgas::RunConfig rcfg;

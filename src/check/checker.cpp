@@ -109,6 +109,21 @@ std::uint64_t expected_nodes(const CheckSpec& spec) {
   return seq->nodes;
 }
 
+pgas::FaultPlan CheckSpec::fault_plan() const {
+  pgas::FaultPlan fp;
+  fp.stall_ns = stall_ns;
+  fp.stall_period_ns = stall_period_ns;
+  fp.stall_rank = stall_rank;
+  fp.drop_prob = drop_prob;
+  fp.dup_prob = dup_prob;
+  fp.crashes = crashes;
+  fp.crash_detect_ns = crash_detect_ns;
+  fp.drains = drains;
+  fp.joins = joins;
+  fp.partitions = partitions;
+  return fp;
+}
+
 RunOutcome run_schedule(const CheckSpec& spec, sim::SchedulePolicy* policy,
                         std::uint64_t window_ns,
                         const std::vector<std::unique_ptr<Oracle>>* oracles,
@@ -123,16 +138,7 @@ RunOutcome run_schedule(const CheckSpec& spec, sim::SchedulePolicy* policy,
   rc.seed = spec.run_seed;
   rc.vt_limit_ns = spec.vt_limit_ns;
   rc.watchdog_ns = spec.watchdog_ns;
-  rc.faults.stall_ns = spec.stall_ns;
-  rc.faults.stall_period_ns = spec.stall_period_ns;
-  rc.faults.stall_rank = spec.stall_rank;
-  rc.faults.drop_prob = spec.drop_prob;
-  rc.faults.dup_prob = spec.dup_prob;
-  rc.faults.crashes = spec.crashes;
-  rc.faults.crash_detect_ns = spec.crash_detect_ns;
-  rc.faults.drains = spec.drains;
-  rc.faults.joins = spec.joins;
-  rc.faults.partitions = spec.partitions;
+  rc.faults = spec.fault_plan();
   std::optional<pgas::Liveness> live;
   if (rc.faults.crashes_enabled() || rc.faults.membership_enabled()) {
     live.emplace(spec.nranks, spec.crash_detect_ns);

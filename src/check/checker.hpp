@@ -58,6 +58,9 @@ struct CheckSpec {
   /// Seeded-bug switch: a woken lifeline thief pulls without leaving the
   /// termination barrier first (see config.hpp bug_drop_distress).
   bool bug_drop_distress = false;
+
+  /// The run's FaultPlan: every fault field above, verbatim.
+  pgas::FaultPlan fault_plan() const;
 };
 
 enum class Strategy { kRandom, kPct, kDfs };

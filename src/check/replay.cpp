@@ -47,13 +47,13 @@ pgas::CrashSpec::Where where_from(const std::string& s) {
   throw std::invalid_argument("replay: " + what);
 }
 
-/// Parse a "<rank>@<at_ns>" operand (shared by crash/drain/join lines).
-void parse_rank_at(const std::string& at, const char* key, int* rank,
-                   std::uint64_t* at_ns) {
-  const std::size_t sep = at.find('@');
-  if (sep == std::string::npos) bad(std::string(key) + " wants <rank>@<at_ns>");
-  *rank = std::stoi(at.substr(0, sep));
-  *at_ns = std::stoull(at.substr(sep + 1));
+/// A crash/drain/join operand, through the shared fault-plan codec.
+pgas::RankAt rank_at(const std::string& operand, const std::string& key) {
+  try {
+    return pgas::parse_rank_at(operand, key);
+  } catch (const std::invalid_argument& e) {
+    bad(e.what());
+  }
 }
 
 }  // namespace
@@ -157,13 +157,8 @@ ReplayFile read_replay(std::istream& is) {
     } else if (key == "crash") {
       std::string at, where;
       ls >> at >> where;
-      const std::size_t sep = at.find('@');
-      if (sep == std::string::npos) bad("crash wants <rank>@<at_ns>");
-      pgas::CrashSpec c;
-      c.rank = std::stoi(at.substr(0, sep));
-      c.at_ns = std::stoull(at.substr(sep + 1));
-      c.where = where_from(where);
-      rf.spec.crashes.push_back(c);
+      const pgas::RankAt ra = rank_at(at, key);
+      rf.spec.crashes.push_back({ra.rank, ra.at_ns, where_from(where)});
     } else if (key == "crash-detect-ns") {
       ls >> rf.spec.crash_detect_ns;
     } else if (key == "stall") {
@@ -175,20 +170,16 @@ ReplayFile read_replay(std::istream& is) {
     } else if (key == "drain") {
       std::string at;
       ls >> at;
-      pgas::DrainSpec d;
-      parse_rank_at(at, "drain", &d.rank, &d.at_ns);
-      rf.spec.drains.push_back(d);
+      const pgas::RankAt ra = rank_at(at, key);
+      rf.spec.drains.push_back({ra.rank, ra.at_ns});
     } else if (key == "join") {
       std::string at;
       ls >> at;
-      pgas::JoinSpec j;
-      parse_rank_at(at, "join", &j.rank, &j.at_ns);
-      rf.spec.joins.push_back(j);
+      const pgas::RankAt ra = rank_at(at, key);
+      rf.spec.joins.push_back({ra.rank, ra.at_ns});
     } else if (key == "partition") {
       pgas::PartitionSpec p;
       ls >> p.group_mask >> p.start_ns >> p.heal_ns;
-      if (!ls.fail() && p.heal_ns <= p.start_ns)
-        bad("partition heal_ns must be > start_ns");
       rf.spec.partitions.push_back(p);
     } else if (key == "sample-frac") {
       ls >> rf.spec.sample_frac;
@@ -219,6 +210,11 @@ ReplayFile read_replay(std::istream& is) {
     if (ls.fail() && !ls.eof()) bad("malformed value for key " + key);
   }
   if (!have_trail) bad("missing trail line");
+  try {
+    pgas::validate_plan(rf.spec.fault_plan(), rf.spec.nranks, "");
+  } catch (const std::invalid_argument& e) {
+    bad(e.what());
+  }
   return rf;
 }
 

@@ -3,9 +3,10 @@
 // sampler writes into (docs/observability.md).
 //
 // The registry is deliberately tiny: a counter is a plain uint64 the worker
-// bumps through a cached reference (no map lookup on the hot path), a gauge
-// is a callback the sampler polls at each cadence boundary, a histogram is
-// a stats::LogHistogram. Every mutation happens from the owning rank's own
+// bumps through a cached reference (no map lookup on the hot path) or a
+// view of a counter the rank already keeps elsewhere, a gauge is a callback
+// the sampler polls at each cadence boundary, a histogram is a
+// stats::LogHistogram. Every mutation happens from the owning rank's own
 // fiber/thread, so registries need no synchronization under either engine.
 #pragma once
 
@@ -27,6 +28,22 @@ class Registry {
   /// registrations (std::map nodes never move), so hot paths cache it and
   /// increment without a lookup.
   std::uint64_t& counter(const std::string& name) { return counters_[name]; }
+
+  /// Counter `name` as a view of `field`, a counter the owner rank already
+  /// keeps (ws::Recorder binds ThreadStats fields), not a second copy. It
+  /// reads `field` at each sync_views() (the sampler syncs every sample)
+  /// and keeps its last value after detach_views(), which the owner must
+  /// call before `field` dies.
+  void view(const std::string& name, const std::uint64_t& field) {
+    views_.push_back({&counters_[name], &field});
+  }
+  void sync_views() {
+    for (const View& v : views_) *v.cell = *v.field;
+  }
+  void detach_views() {
+    sync_views();
+    views_.clear();
+  }
 
   /// Register a gauge: `fn` is polled at each sample boundary from the
   /// owner rank's own execution context, so it may read owner-only fields
@@ -52,13 +69,19 @@ class Registry {
   }
 
   void clear() {
+    views_.clear();
     counters_.clear();
     gauges_.clear();
     hists_.clear();
   }
 
  private:
+  struct View {
+    std::uint64_t* cell;
+    const std::uint64_t* field;
+  };
   std::map<std::string, std::uint64_t> counters_;
+  std::vector<View> views_;
   std::map<std::string, std::function<std::int64_t()>> gauges_;
   std::map<std::string, stats::LogHistogram> hists_;
 };

@@ -29,6 +29,7 @@ void Observer::on_tick(int rank, std::uint64_t now_ns) {
   // quanta, so aligning keeps the series on a regular grid that merges
   // cleanly across ranks.
   const std::uint64_t t = now_ns / cadence_ * cadence_;
+  pr.reg.sync_views();
   for (const auto& [name, v] : pr.reg.counters())
     samples_.add(rank, t, name, static_cast<std::int64_t>(v));
   for (const auto& [name, fn] : pr.reg.gauges())

@@ -59,8 +59,8 @@ class Observer final : public pgas::ObsSink {
   SpanLog& spans() { return spans_; }
   const SpanLog& spans() const { return spans_; }
 
-  /// Record a state transition at Ctx time `t_ns` (workers call this from
-  /// set_state, alongside the trace).
+  /// Record a state transition at Ctx time `t_ns` (ws::Recorder calls this
+  /// alongside the trace).
   void state(int rank, std::uint64_t t_ns, stats::State s) {
     ranks_[rank].states.push_back({t_ns, s});
   }

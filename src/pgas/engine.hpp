@@ -310,6 +310,17 @@ class Ctx {
     if (faults_ != nullptr) faults_->note_joined(now_ns());
   }
 
+  /// A JoinSpec'd rank's entry (no-op for founding members): park, the
+  /// clock advancing and the joined flag down, until the join instant, then
+  /// note_joined(). Workers call it before their first protocol action.
+  void join_when_due() {
+    const std::uint64_t jt = faults_ != nullptr ? faults_->join_at_ns() : 0;
+    if (jt == 0) return;
+    if (now_ns() < jt) charge(jt - now_ns());
+    while (now_ns() < jt) yield();
+    note_joined();
+  }
+
   /// Mark entry/exit of a steal transfer so CrashSpec::Where::kMidSteal can
   /// target it (see StealScope).
   void set_steal_scope(bool on) { in_steal_ = on; }

@@ -1,6 +1,8 @@
 #include "pgas/faults.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 
 namespace upcws::pgas {
 
@@ -150,6 +152,68 @@ std::uint64_t FaultInjector::duplicate_delay(std::uint64_t wire_ns,
   ++c_.msgs_duplicated;
   record(FaultEvent::Kind::kMsgDup, now_ns, delay);
   return delay;
+}
+
+RankAt parse_rank_at(const std::string& operand, const std::string& what) {
+  // from_chars into unsigned types takes digits only: no sign, no blanks.
+  const char* const end = operand.data() + operand.size();
+  unsigned rank = 0;
+  RankAt ra;
+  const auto r = std::from_chars(operand.data(), end, rank);
+  if (r.ec == std::errc() && r.ptr != end && *r.ptr == '@' &&
+      rank <= INT_MAX) {
+    const auto t = std::from_chars(r.ptr + 1, end, ra.at_ns);
+    ra.rank = static_cast<int>(rank);
+    if (t.ec == std::errc() && t.ptr == end) return ra;
+  }
+  throw std::invalid_argument("bad " + what + " operand '" + operand +
+                              "' (want RANK@NS)");
+}
+
+std::vector<RankAt> parse_rank_at_list(const std::string& spec,
+                                       const std::string& what) {
+  std::vector<RankAt> out;
+  for (std::size_t b = 0;;) {
+    const std::size_t e = spec.find(',', b);
+    out.push_back(parse_rank_at(spec.substr(b, e - b), what));
+    if (e == std::string::npos) return out;
+    b = e + 1;
+  }
+}
+
+void validate_plan(const FaultPlan& plan, int nranks,
+                   const std::string& prefix) {
+  const std::string range = " out of range [0," + std::to_string(nranks) + ")";
+  auto fail = [&](const std::string& msg) {
+    throw std::invalid_argument(prefix + msg);
+  };
+  auto check_rank = [&](const char* kind, int rank) {
+    if (rank < 0 || rank >= nranks)
+      fail(std::string(kind) + " rank " + std::to_string(rank) + range);
+  };
+  if (plan.stalls_enabled() && plan.stall_rank >= nranks)
+    fail("stall rank " + std::to_string(plan.stall_rank) + range +
+         " (or -1 for all ranks)");
+  if (plan.drop_prob < 0.0 || plan.drop_prob > 1.0)
+    fail("drop-prob must be a probability in [0,1]");
+  if (plan.dup_prob < 0.0 || plan.dup_prob > 1.0)
+    fail("dup-prob must be a probability in [0,1]");
+  for (const CrashSpec& c : plan.crashes) check_rank("crash", c.rank);
+  for (const DrainSpec& d : plan.drains) check_rank("drain", d.rank);
+  for (const JoinSpec& j : plan.joins) {
+    check_rank("join", j.rank);
+    if (j.rank == 0) fail("join rank 0 is invalid (rank 0 seeds the root)");
+  }
+  const std::uint64_t all =
+      nranks >= 64 ? ~0ull : ((1ull << std::max(nranks, 0)) - 1);
+  for (const PartitionSpec& ps : plan.partitions) {
+    if (ps.heal_ns <= ps.start_ns)
+      fail("partition heal time must be after its start time");
+    if ((ps.group_mask & ~all) != 0)
+      fail("partition mask names ranks >= " + std::to_string(nranks));
+    if (ps.group_mask == 0 || ps.group_mask == all)
+      fail("partition mask must leave both sides nonempty");
+  }
 }
 
 }  // namespace upcws::pgas

@@ -23,6 +23,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace upcws::pgas {
@@ -156,6 +157,31 @@ struct FaultPlan {
   }
 };
 
+// ---- fault-plan codec and shape check, shared by every CLI and the replay
+// reader; both throw std::invalid_argument with a one-line message. ----
+
+/// A rank and a time on that rank's own Ctx clock.
+struct RankAt {
+  int rank = -1;
+  std::uint64_t at_ns = 0;
+};
+
+/// Parse one "RANK@NS" operand of `what` (a flag such as "--crash", or a
+/// replay key). Digits only: a sign would otherwise let "-5" wrap to a time
+/// of ~1.8e19 ns.
+RankAt parse_rank_at(const std::string& operand, const std::string& what);
+
+/// Parse "RANK@NS[,RANK@NS...]".
+std::vector<RankAt> parse_rank_at_list(const std::string& spec,
+                                       const std::string& what);
+
+/// Check `plan` against `nranks`: every rank in range, no join of rank 0,
+/// probabilities in [0,1], partitions that heal after they start and leave
+/// both sides nonempty. Messages name the entry as `prefix` + flag or key
+/// ("--crash rank 9 out of range [0,4)").
+void validate_plan(const FaultPlan& plan, int nranks,
+                   const std::string& prefix = "--");
+
 /// Shared liveness board: one death-time word per rank, written once by the
 /// crashing rank at its moment of death and read by everyone else. A viewer
 /// sees the death only after the configured detection latency has elapsed
@@ -262,8 +288,8 @@ struct FaultCounters {
 };
 
 /// One injected fault, timestamped in Ctx time (virtual ns under the
-/// simulator). Collected per rank; the ws driver merges them into an
-/// attached trace::Trace.
+/// simulator). Collected per rank; the rank's ws::Recorder merges them into
+/// an attached trace::Trace when the worker finishes.
 struct FaultEvent {
   enum class Kind : std::uint8_t {
     kStall,

@@ -77,6 +77,8 @@ struct Counters {
   std::uint64_t dedup_drops = 0;      ///< always 0 (recovery keeps every
                                       ///< node); retained for stat-format
                                       ///< stability
+
+  friend bool operator==(const Counters&, const Counters&) = default;
 };
 
 /// Tracks which Figure-1 state a thread is in and accumulates ns per state.

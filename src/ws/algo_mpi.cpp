@@ -1,7 +1,6 @@
 #include "ws/algo_mpi.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
+#include "ws/recorder.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -51,36 +50,19 @@ class MpiWorker final : public NodeSink {
         k_(static_cast<std::size_t>(cfg.chunk_size)),
         nb_(prob.node_bytes()),
         my_(stack),
+        rec_(ctx, st_, cfg),
         hardened_(cfg.hardened()),
         board_(board),
         crash_mode_(board != nullptr && ctx.liveness() != nullptr &&
                     cfg.hardened()),
         member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
+                     ctx.faults()->plan().membership_enabled()) {
     nodebuf_.resize(nb_);
     if (hardened_) cache_.resize(n_);
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_steals_ = &reg.counter("steals");
-      m_probes_ = &reg.counter("probes");
-      m_releases_ = &reg.counter("releases");
-      m_services_ = &reg.counter("requests_serviced");
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-      if (crash_mode_)
-        reg.gauge("recovery_backlog", [this] {
-          // Raw atomic scan — orphan_pending(ctx) would charge Ctx time.
-          std::int64_t pending = 0;
-          for (int w = 0; w < n_; ++w)
-            for (int p = 0; p < n_; ++p)
-              if (w != p && board_->rec(w, p).state.load(
-                                std::memory_order_relaxed) ==
-                                TransferRec::kPending)
-                ++pending;
-          return pending;
-        });
-    }
+    rec_.gauge("queue_depth",
+               [this] { return static_cast<std::int64_t>(my_.depth()); });
+    if (crash_mode_)
+      rec_.gauge("recovery_backlog", [this] { return board_->backlog(); });
     // Rank 0 starts holding a token so it can initiate the first probe
     // round once it goes idle. Under crash injection leadership is dynamic
     // (lowest live rank); leading_ tracks whether we currently run the
@@ -93,11 +75,11 @@ class MpiWorker final : public NodeSink {
   }
 
   stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
+    // The token ring deliberately does NOT skip unjoined ranks: a token sent
+    // to a parked joiner buffers in its mailbox until the join — delayed
+    // termination, never false termination under a lagging membership view.
+    ctx_.join_when_due();
+    rec_.start();
     if (me_ == 0) {
       prob_.root(nodebuf_.data());
       my_.push(nodebuf_.data());
@@ -120,9 +102,7 @@ class MpiWorker final : public NodeSink {
       // counts are modeled as durable).
       if (visiting_) my_.push(nodebuf_.data());
     }
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
+    rec_.finish();
     return st_;
   }
 
@@ -133,13 +113,6 @@ class MpiWorker final : public NodeSink {
   }
 
  private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
-  }
-
   void do_work() {
     int since_poll = 0;
     for (;;) {
@@ -178,21 +151,6 @@ class MpiWorker final : public NodeSink {
 
   // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
 
-  /// A JoinSpec'd rank parks until its join instant, then raises its joined
-  /// flag (release) before touching the wire. The token ring deliberately
-  /// does NOT skip unjoined ranks: a token sent to a parked joiner buffers
-  /// in its mailbox until the join — delayed termination, never false
-  /// termination under a lagging membership view.
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
-
   /// Safe-point probe for a planned drain. Gated on crash_mode_: mpi-ws
   /// membership rides the hardened protocol's recovery machinery (lineage
   /// records, token regeneration, leader takeover); an unhardened run
@@ -210,13 +168,9 @@ class MpiWorker final : public NodeSink {
     // no stack and not yet counted (see the crash handler in run()).
     visiting_ = true;
     ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
     const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
+    rec_.visit(prob_.depth(nodebuf_.data()), nc, my_.depth());
     visiting_ = false;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
     ctx_.yield();
   }
 
@@ -239,19 +193,10 @@ class MpiWorker final : public NodeSink {
         my_.maybe_compact();
         color_ = kBlack;  // we re-activated someone: current round invalid
         ++outstanding_acks_;
-        ++st_.c.requests_serviced;
-        if (m_services_ != nullptr) ++*m_services_;
-        if (m_releases_ != nullptr) ++*m_releases_;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->service(me_, ctx_.now_ns(), m.src,
-                              static_cast<std::int64_t>(k_), true);
-        span_service(m.src, static_cast<std::int64_t>(k_), true);
+        rec_.grant(m.src, k_);
       } else {
         comm_.send(ctx_, m.src, kTagNone);
-        ++st_.c.requests_denied;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->service(me_, ctx_.now_ns(), m.src, 0, false);
-        span_service(m.src, 0, false);
+        rec_.deny(m.src);
       }
     }
     if (hardened_) drain_stray_replies();
@@ -324,8 +269,7 @@ class MpiWorker final : public NodeSink {
         continue;
       }
       comm_.send(ctx_, m.src, kTagNone);
-      ++st_.c.requests_denied;
-      span_service(m.src, 0, false);
+      rec_.deny(m.src, /*traced=*/false);
     }
     if (hardened_ && wait_victim_ < 0) drain_stray_replies();
     drain_acks_and_token();
@@ -364,9 +308,7 @@ class MpiWorker final : public NodeSink {
       // the old round is filtered out by every receiver.
       color_ = kWhite;
       send_token(kWhite, ++round_);
-      ++st_.c.retransmits;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->retransmit(me_, ctx_.now_ns(), ring_next());
+      rec_.retransmit(ring_next());
     }
     return false;
   }
@@ -488,46 +430,22 @@ class MpiWorker final : public NodeSink {
       my_.maybe_compact();
       color_ = kBlack;
       ++outstanding_acks_;
-      ++st_.c.requests_serviced;
-      if (m_services_ != nullptr) ++*m_services_;
-      if (m_releases_ != nullptr) ++*m_releases_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), src,
-                            static_cast<std::int64_t>(k_), true);
-      span_service(src, static_cast<std::int64_t>(k_), true);
+      rec_.grant(src, k_);
     } else {
       gc.is_work = false;
       gc.acked = true;
       gc.reply.resize(4);
       put_u32(gc.reply.data(), seq);
       comm_.send(ctx_, src, kTagNone, gc.reply.data(), gc.reply.size());
-      ++st_.c.requests_denied;
-      if (trace_denial && cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), src, 0, false);
-      span_service(src, 0, false);
+      rec_.deny(src, trace_denial);
     }
-  }
-
-  /// Victim-side span step for a request from `thief`: look up the span id
-  /// the thief published before sending and record the grant/deny on our
-  /// timeline (0 id = no observer span; record nothing).
-  void span_service(int thief, std::int64_t nodes, bool granted) {
-    if (obs_ == nullptr) return;
-    const std::uint64_t sid = obs_->spans().active(thief, me_);
-    if (sid == 0) return;
-    obs_->spans().event(me_, sid,
-                        granted ? obs::SpanPhase::kService
-                                : obs::SpanPhase::kDeny,
-                        ctx_.now_ns(), me_, thief, nodes);
   }
 
   void resend_cached(int src, GrantCache& gc) {
     gc.last_send_ns = ctx_.now_ns();
     comm_.send(ctx_, src, gc.is_work ? kTagWork : kTagNone, gc.reply.data(),
                gc.reply.size());
-    ++st_.c.retransmits;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->retransmit(me_, ctx_.now_ns(), src);
+    rec_.retransmit(src);
   }
 
   /// Idle victim: re-push any unacknowledged grant whose ack is overdue
@@ -578,11 +496,11 @@ class MpiWorker final : public NodeSink {
   bool find_work() {
     if (n_ == 1) {
       // Sole rank: run the token protocol to completion for uniformity.
-      set_state(State::kTermination);
+      rec_.state(State::kTermination);
       while (!idle_comm()) ctx_.yield();
       return false;
     }
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     std::uniform_int_distribution<int> pick(0, n_ - 2);
     for (;;) {
       if (drain_check()) return false;
@@ -592,7 +510,7 @@ class MpiWorker final : public NodeSink {
         // We re-activated ourselves with a dead rank's work: turn black so
         // any in-flight token round is invalidated.
         color_ = kBlack;
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       if (cancelled_) {
@@ -615,25 +533,24 @@ class MpiWorker final : public NodeSink {
         ctx_.yield();
         continue;
       }
-      ++st_.c.probes;
-      if (m_probes_ != nullptr) ++*m_probes_;
-      ++st_.c.steal_attempts;
+      rec_.probe();
+      rec_.steal_attempt();
       bool got;
       if (hardened_) {
-        set_state(State::kStealing);
+        rec_.state(State::kStealing);
         got = await_steal_hardened(v);
       } else {
-        begin_span(v);
+        rec_.span_begin(v, /*publish=*/true);
         comm_.send(ctx_, v, kTagRequest);
-        set_state(State::kStealing);
+        rec_.state(State::kStealing);
         got = await_steal(v);
       }
       if (got) {
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       if (term_seen_) return false;
-      set_state(State::kSearching);
+      rec_.state(State::kSearching);
       ctx_.yield();
     }
   }
@@ -649,43 +566,17 @@ class MpiWorker final : public NodeSink {
         return true;
       }
       if (comm_.try_recv(ctx_, v, kTagNone, m)) {
-        drop_span(v);  // the victim recorded the terminal kDeny
-        ++st_.c.failed_steals;
+        rec_.span_drop();  // the victim recorded the terminal kDeny
+        rec_.steal_fail(v, /*traced=*/false);
         return false;
       }
       if (idle_comm()) {
-        abandon_span(v);
+        rec_.span_abandon();
         term_seen_ = true;
         return false;
       }
       ctx_.yield();
     }
-  }
-
-  // ---- thief-side span bookkeeping (no-ops without an observer) ----------
-
-  /// Open a steal span toward `v` and publish its id before the request is
-  /// sent, so the victim's service step lands under the same id.
-  void begin_span(int v) {
-    if (obs_ == nullptr) return;
-    span_ = obs_->spans().begin(me_, v);
-    obs_->spans().publish_active(me_, v, span_);
-    obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                        me_, v);
-  }
-
-  void abandon_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon, ctx_.now_ns(),
-                        me_, v);
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
-  }
-
-  void drop_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
   }
 
   /// Hardened steal round-trip: the request carries a fresh sequence
@@ -698,7 +589,7 @@ class MpiWorker final : public NodeSink {
   bool await_steal_hardened(int v) {
     ++req_seq_;
     wait_victim_ = v;
-    begin_span(v);
+    rec_.span_begin(v, /*publish=*/true);
     std::uint8_t req[4];
     put_u32(req, req_seq_);
     comm_.send(ctx_, v, kTagRequest, req, sizeof req);
@@ -727,8 +618,8 @@ class MpiWorker final : public NodeSink {
       }
       if (denied) {
         wait_victim_ = -1;
-        drop_span(v);  // the victim recorded the terminal kDeny
-        ++st_.c.failed_steals;
+        rec_.span_drop();  // the victim recorded the terminal kDeny
+        rec_.steal_fail(v, /*traced=*/false);
         return false;
       }
       if (crash_mode_ && ctx_.rank_dead(v)) {
@@ -741,44 +632,25 @@ class MpiWorker final : public NodeSink {
           const std::size_t take = rec.nnodes;
           my_.push_n(rec.payload.data(), take);
           ctx_.charge(ctx_.net().bulk_ns(me_, v, take * nb_));
-          ++st_.c.steals;
-          if (m_steals_ != nullptr) ++*m_steals_;
-          st_.steal_sizes.add(take);
-          st_.c.chunks_stolen += take / k_;
-          st_.c.nodes_stolen += take;
-          if (cfg_.trace != nullptr)
-            cfg_.trace->steal(me_, ctx_.now_ns(), v,
-                              static_cast<std::int64_t>(take), true);
-          if (span_ != 0) {
-            obs_->spans().event(me_, span_, obs::SpanPhase::kSalvage,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
-            obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
-            obs_->spans().clear_active(me_, v);
-            span_ = 0;
-          }
+          rec_.span(SpanPhase::kSalvage, static_cast<std::int64_t>(take));
+          rec_.absorb(take);
+          rec_.steal_ok(v, take);
           return true;
         }
-        abandon_span(v);
-        ++st_.c.failed_steals;
+        rec_.span_abandon();
+        rec_.steal_fail(v, /*traced=*/false);
         return false;
       }
       if (idle_comm()) {
         wait_victim_ = -1;
-        abandon_span(v);
+        rec_.span_abandon();
         term_seen_ = true;
         return false;
       }
       if (ctx_.now_ns() >= deadline) {
         comm_.send(ctx_, v, kTagRequest, req, sizeof req);
-        ++st_.c.retransmits;
-        if (cfg_.trace != nullptr)
-          cfg_.trace->retransmit(me_, ctx_.now_ns(), v);
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                              ctx_.now_ns(), me_, v);
+        rec_.retransmit(v);
+        rec_.span(SpanPhase::kTimeout);
         rto = std::min(rto * 2, cfg_.steal_timeout_ns * 8);
         deadline = ctx_.now_ns() + rto;
       }
@@ -801,7 +673,7 @@ class MpiWorker final : public NodeSink {
           send_ack(m.src, get_u32(m.payload, 0));
         else
           comm_.send(ctx_, m.src, kTagAck);
-        abandon_span(m.src);  // the chunk was replayed by a survivor
+        rec_.span_abandon();  // the chunk was replayed by a survivor
         return;
       }
     }
@@ -811,22 +683,9 @@ class MpiWorker final : public NodeSink {
       send_ack(m.src, get_u32(m.payload, 0));
     else
       comm_.send(ctx_, m.src, kTagAck);
-    ++st_.c.steals;
-    if (m_steals_ != nullptr) ++*m_steals_;
-    st_.steal_sizes.add(take);
-    if (cfg_.trace != nullptr)
-      cfg_.trace->steal(me_, ctx_.now_ns(), m.src,
-                        static_cast<std::int64_t>(take), true);
-    if (span_ != 0) {
-      obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer, ctx_.now_ns(),
-                          me_, m.src, static_cast<std::int64_t>(take));
-      obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb, ctx_.now_ns(),
-                          me_, m.src, static_cast<std::int64_t>(take));
-      obs_->spans().clear_active(me_, m.src);
-      span_ = 0;
-    }
-    st_.c.chunks_stolen += take / k_;
-    st_.c.nodes_stolen += take;
+    rec_.span(SpanPhase::kTransfer, static_cast<std::int64_t>(take));
+    rec_.absorb(take);
+    rec_.steal_ok(m.src, take);
   }
 
   // ---- crash recovery (crash_mode_ only) --------------------------------
@@ -843,7 +702,7 @@ class MpiWorker final : public NodeSink {
       if (r == me_ || !ctx_.rank_dead(r) || board_->salvage_done(r)) continue;
       const std::uint64_t rb = ctx_.now_ns();
       if (salvage_stack(r)) got = true;
-      if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
+      rec_.recovery_interval(rb);
     }
     for (int w = 0; w < n_; ++w) {
       for (int p = 0; p < n_; ++p) {
@@ -856,7 +715,7 @@ class MpiWorker final : public NodeSink {
         if (!victim_dead && !thief_dead) continue;
         const std::uint64_t rb = ctx_.now_ns();
         if (replay_record(rec)) got = true;
-        if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
+        rec_.recovery_interval(rb);
       }
     }
     return got;
@@ -877,11 +736,7 @@ class MpiWorker final : public NodeSink {
     // Post-pay: the nodes are already safe on our stack, so a crash in
     // this charge cannot lose them.
     ctx_.charge(ctx_.net().bulk_ns(me_, r, taken * nb_));
-    ++st_.c.salvages;
-    st_.c.recovered_nodes += taken;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), r,
-                          static_cast<std::int64_t>(taken));
+    rec_.salvage(r, taken);
     return taken > 0;
   }
 
@@ -900,11 +755,7 @@ class MpiWorker final : public NodeSink {
     board_->note_replay();
     my_.push_n(rec.payload.data(), rec.nnodes);
     ctx_.charge(ctx_.net().bulk_ns(me_, rec.victim, rec.nnodes * nb_));
-    ++st_.c.replays;
-    st_.c.recovered_nodes += rec.nnodes;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), rec.victim,
-                          static_cast<std::int64_t>(rec.nnodes));
+    rec_.replay(rec.victim, rec.nnodes);
     return rec.nnodes > 0;
   }
 
@@ -937,6 +788,7 @@ class MpiWorker final : public NodeSink {
   const std::size_t nb_;
   StealStack& my_;
   stats::ThreadStats st_;
+  Recorder rec_;
   std::vector<std::byte> nodebuf_;
   const bool hardened_;
   /// Crash-fault tolerance (null/false unless the plan injects crashes AND
@@ -968,15 +820,6 @@ class MpiWorker final : public NodeSink {
   std::uint32_t max_round_seen_ = 0;  ///< others: newest round accepted
   std::uint32_t token_round_ = 0;     ///< round carried by the held token
   std::uint64_t token_sent_ns_ = 0;   ///< rank 0: when the round's token left
-
-  /// Telemetry (all null/0 when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_steals_ = nullptr;
-  std::uint64_t* m_probes_ = nullptr;
-  std::uint64_t* m_releases_ = nullptr;
-  std::uint64_t* m_services_ = nullptr;
-  /// Id of this thief's outstanding steal span (0 = none).
-  std::uint64_t span_ = 0;
 };
 
 }  // namespace

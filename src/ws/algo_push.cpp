@@ -1,7 +1,6 @@
 #include "ws/algo_push.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
+#include "ws/recorder.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -33,29 +32,24 @@ class PushWorker final : public NodeSink {
         k_(static_cast<std::size_t>(cfg.chunk_size)),
         nb_(prob.node_bytes()),
         my_(stack),
+        rec_(ctx, st_, cfg),
         member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
+                     ctx.faults()->plan().membership_enabled()) {
     nodebuf_.resize(nb_);
     if (me_ == 0) {
       has_token_ = true;
       token_color_ = kWhite;
     }
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_pushes_ = &reg.counter("releases");
-      m_received_ = &reg.counter("steals");  // transfers received
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-    }
+    rec_.gauge("queue_depth",
+               [this] { return static_cast<std::int64_t>(my_.depth()); });
   }
 
   stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
+    // The static token ring keeps a parked joiner in rotation: a token sent
+    // to it buffers in its mailbox until the join. Rank 0 (ring leader, TERM
+    // broadcaster) never joins or drains.
+    ctx_.join_when_due();
+    rec_.start();
     if (me_ == 0) {
       prob_.root(nodebuf_.data());
       my_.push(nodebuf_.data());
@@ -66,9 +60,7 @@ class PushWorker final : public NodeSink {
       if (!wait_for_work()) break;
     }
     if (drained_) drain_leave();
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
+    rec_.finish();
     return st_;
   }
 
@@ -79,13 +71,6 @@ class PushWorker final : public NodeSink {
   }
 
  private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
-  }
-
   void do_work() {
     int since_poll = 0;
     int since_push = 0;
@@ -133,31 +118,12 @@ class PushWorker final : public NodeSink {
 
   void visit() {
     ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
     const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
+    rec_.visit(prob_.depth(nodebuf_.data()), nc, my_.depth());
     ctx_.yield();
   }
 
   // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
-
-  /// A JoinSpec'd rank parks until its join instant, then raises its joined
-  /// flag (release) before touching the wire. The static token ring keeps
-  /// the parked rank in rotation: a token sent to it buffers in its mailbox
-  /// until the join — delayed termination, never false termination. Rank 0
-  /// (ring leader, TERM broadcaster) never joins or drains.
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
 
   /// Safe-point probe for a planned drain (pop-loop top and idle-loop top:
   /// never with a popped node in flight).
@@ -199,7 +165,7 @@ class PushWorker final : public NodeSink {
   ///     picking us) and park — still relaying and forwarding tokens, so
   ///     the static ring never stalls — until rank 0 broadcasts TERM.
   void drain_leave() {
-    set_state(State::kTermination);
+    rec_.state(State::kTermination);
     flush_all();
     for (;;) {
       relay_inbox();
@@ -230,11 +196,7 @@ class PushWorker final : public NodeSink {
     my_.maybe_compact();
     color_ = kBlack;
     ++outstanding_acks_;
-    ++st_.c.releases;
-    if (m_pushes_ != nullptr) ++*m_pushes_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(),
-                          static_cast<std::int64_t>(total));
+    rec_.release(total);
   }
 
   /// Drain-mode inbox: relay arriving work instead of absorbing it, settle
@@ -256,8 +218,7 @@ class PushWorker final : public NodeSink {
       color_ = kBlack;
       ++outstanding_acks_;
       owed_.push_back(m.src);
-      ++st_.c.releases;
-      if (m_pushes_ != nullptr) ++*m_pushes_;
+      rec_.relay();
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) {
       --outstanding_acks_;
@@ -294,10 +255,7 @@ class PushWorker final : public NodeSink {
     my_.maybe_compact();
     color_ = kBlack;
     ++outstanding_acks_;
-    ++st_.c.releases;
-    if (m_pushes_ != nullptr) ++*m_pushes_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(), static_cast<std::int64_t>(k_));
+    rec_.release(k_);
   }
 
   /// Absorb any pushed work that has arrived; ack it. Also buffers the
@@ -308,11 +266,7 @@ class PushWorker final : public NodeSink {
       const std::size_t take = m.payload.size() / nb_;
       my_.push_n(reinterpret_cast<const std::byte*>(m.payload.data()), take);
       comm_.send(ctx_, m.src, kTagAck);
-      ++st_.c.steals;
-      if (m_received_ != nullptr) ++*m_received_;
-      st_.steal_sizes.add(take);  // counted as received transfers
-      st_.c.nodes_stolen += take;
-      st_.c.chunks_stolen += take / k_;
+      rec_.absorb(take);  // counted as received transfers
     }
     while (comm_.try_recv(ctx_, mp::kAny, kTagAck, m)) --outstanding_acks_;
     if (comm_.try_recv(ctx_, mp::kAny, kTagToken, m)) {
@@ -326,25 +280,25 @@ class PushWorker final : public NodeSink {
   /// Idle loop: poll for pushed work; run the token protocol meanwhile.
   /// Returns true when work arrived, false on termination.
   bool wait_for_work() {
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     for (;;) {
       if (drain_check()) return false;
       cancel_check();  // arriving pushes are still absorbed, then bled
       drain_inbox();
       if (my_.local_size() > 0) {
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       mp::Message m;
       if (comm_.try_recv(ctx_, mp::kAny, kTagTerm, m)) {
-        set_state(State::kTermination);
+        rec_.state(State::kTermination);
         return false;
       }
       if (has_token_ && outstanding_acks_ == 0) {
         if (me_ == 0) {
           if (round_started_ && token_color_ == kWhite && color_ == kWhite) {
             for (int r = 1; r < n_; ++r) comm_.send(ctx_, r, kTagTerm);
-            set_state(State::kTermination);
+            rec_.state(State::kTermination);
             return false;
           }
           round_started_ = true;
@@ -373,6 +327,7 @@ class PushWorker final : public NodeSink {
   const std::size_t nb_;
   StealStack& my_;
   stats::ThreadStats st_;
+  Recorder rec_;
   std::vector<std::byte> nodebuf_;
 
   Color color_ = kWhite;
@@ -391,11 +346,6 @@ class PushWorker final : public NodeSink {
   bool term_seen_ = false;
   /// Sources of relayed chunks we have not yet acked (chain of custody).
   std::vector<int> owed_;
-
-  /// Telemetry (null when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_pushes_ = nullptr;
-  std::uint64_t* m_received_ = nullptr;
 };
 
 }  // namespace

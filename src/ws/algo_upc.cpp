@@ -1,7 +1,6 @@
 #include "ws/algo_upc.hpp"
 
-#include "obs/observer.hpp"
-#include "trace/trace.hpp"
+#include "ws/recorder.hpp"
 #include "ws/recovery.hpp"
 
 #include <algorithm>
@@ -31,39 +30,22 @@ class UpcWorker final : public NodeSink {
         k_(static_cast<std::size_t>(cfg.chunk_size)),
         nb_(prob.node_bytes()),
         my_(g.stacks[me_]),
+        rec_(ctx, st_, cfg),
         board_(g.recovery),
         crash_mode_(ctx.liveness() != nullptr && g.recovery != nullptr),
         member_mode_(ctx.faults() != nullptr &&
-                     ctx.faults()->plan().membership_enabled()),
-        obs_(cfg.obs) {
+                     ctx.faults()->plan().membership_enabled()) {
     nodebuf_.resize(nb_);
     backoff_ns_ = cfg.steal_backoff_ns;
-    if (obs_ != nullptr) {
-      obs::Registry& reg = obs_->registry(me_);
-      m_steals_ = &reg.counter("steals");
-      m_probes_ = &reg.counter("probes");
-      m_releases_ = &reg.counter("releases");
-      m_services_ = &reg.counter("requests_serviced");
-      // Gauges are polled from this rank's own fiber/thread at sample
-      // boundaries, so owner-only reads are safe; they must not charge.
-      reg.gauge("queue_depth",
-                [this] { return static_cast<std::int64_t>(my_.depth()); });
-      reg.gauge("release_region", [this] {
-        return static_cast<std::int64_t>(my_.shared_size());
-      });
-      if (crash_mode_)
-        reg.gauge("recovery_backlog", [this] {
-          // Raw atomic scan — orphan_pending(ctx) would charge Ctx time.
-          std::int64_t pending = 0;
-          for (int w = 0; w < n_; ++w)
-            for (int p = 0; p < n_; ++p)
-              if (w != p && board_->rec(w, p).state.load(
-                                std::memory_order_relaxed) ==
-                                TransferRec::kPending)
-                ++pending;
-          return pending;
-        });
-    }
+    // Gauges are polled from this rank's own fiber/thread at sample
+    // boundaries, so owner-only reads are safe; they must not charge.
+    rec_.gauge("queue_depth",
+               [this] { return static_cast<std::int64_t>(my_.depth()); });
+    rec_.gauge("release_region", [this] {
+      return static_cast<std::int64_t>(my_.shared_size());
+    });
+    if (crash_mode_)
+      rec_.gauge("recovery_backlog", [this] { return board_->backlog(); });
     perm_.resize(n_ > 1 ? n_ - 1 : 0);
     int v = 0;
     for (int i = 0; i < n_; ++i)
@@ -77,20 +59,16 @@ class UpcWorker final : public NodeSink {
       if (cfg.lifeline_dim > 0) dims = std::min(dims, cfg.lifeline_dim);
       for (int d = 0; d < dims; ++d)
         if ((me_ ^ (1 << d)) < n_) lifeline_dims_.push_back(d);
-      if (obs_ != nullptr) {
-        obs::Registry& reg = obs_->registry(me_);
-        m_parks_ = &reg.counter("lifeline_parks");
-        m_wakes_ = &reg.counter("lifeline_wakes");
-      }
+      rec_.track_lifelines();
     }
   }
 
   stats::ThreadStats run() {
-    join_park();
-    st_.timer.start(State::kWorking, ctx_.now_ns());
-    if (cfg_.trace != nullptr)
-      cfg_.trace->state(me_, ctx_.now_ns(), State::kWorking);
-    if (obs_ != nullptr) obs_->state(me_, ctx_.now_ns(), State::kWorking);
+    // A joiner's flag is raised (release) before it touches any shared
+    // protocol state, so barrier targets exclude it until then. Rank 0 is
+    // never a joiner (it seeds the root).
+    ctx_.join_when_due();
+    rec_.start();
     if (me_ == 0) {
       prob_.root(nodebuf_.data());
       my_.push(nodebuf_.data());
@@ -113,9 +91,7 @@ class UpcWorker final : public NodeSink {
       // durable (monotonic aggregation at a resilient store).
       if (visiting_) my_.push(nodebuf_.data());
     }
-    st_.timer.stop(ctx_.now_ns());
-    if (cfg_.trace != nullptr) cfg_.trace->finish(me_, ctx_.now_ns());
-    if (obs_ != nullptr) obs_->finish(me_, ctx_.now_ns());
+    rec_.finish();
     return st_;
   }
 
@@ -127,28 +103,7 @@ class UpcWorker final : public NodeSink {
   }
 
  private:
-  void set_state(State s) {
-    const std::uint64_t t = ctx_.now_ns();
-    st_.timer.transition(s, t);
-    if (cfg_.trace != nullptr) cfg_.trace->state(me_, t, s);
-    if (obs_ != nullptr) obs_->state(me_, t, s);
-  }
-
   // ---- elastic membership (no-ops unless the plan drains/joins ranks) ----
-
-  /// A JoinSpec'd rank parks (its clock advancing, its joined flag down so
-  /// barrier targets exclude it) until its join instant, then raises the
-  /// flag with a release store *before* touching any shared protocol state.
-  /// Rank 0 is never a joiner (it seeds the root).
-  void join_park() {
-    pgas::FaultInjector* fi = ctx_.faults();
-    const std::uint64_t jt = fi != nullptr ? fi->join_at_ns() : 0;
-    if (jt == 0) return;
-    const std::uint64_t now = ctx_.now_ns();
-    if (now < jt) ctx_.charge(jt - now);
-    while (ctx_.now_ns() < jt) ctx_.yield();
-    ctx_.note_joined();
-  }
 
   /// Safe-point probe for a planned drain: only fires at the top of the
   /// pop loop and the search-cycle tops, never while a lock is held, a
@@ -267,13 +222,9 @@ class UpcWorker final : public NodeSink {
     // so the re-push can never duplicate a visited node.
     visiting_ = true;
     ctx_.charge_node_work();
-    ++st_.c.nodes;
-    st_.c.max_depth = std::max(st_.c.max_depth, prob_.depth(nodebuf_.data()));
     const int nc = prob_.expand(nodebuf_.data(), *this);
-    st_.c.spawned += static_cast<std::uint64_t>(nc);
-    if (nc == 0) ++st_.c.leaves;
+    rec_.visit(prob_.depth(nodebuf_.data()), nc, my_.depth());
     visiting_ = false;
-    st_.c.max_stack = std::max<std::uint64_t>(st_.c.max_stack, my_.depth());
     while (my_.local_size() >=
            static_cast<std::size_t>(cfg_.release_threshold) * k_)
       do_release();
@@ -290,11 +241,7 @@ class UpcWorker final : public NodeSink {
       publish_avail();
       my_.maybe_compact();
     }
-    ++st_.c.releases;
-    if (m_releases_ != nullptr) ++*m_releases_;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->release(me_, ctx_.now_ns(),
-                          static_cast<std::int64_t>(k_));
+    rec_.release(k_);
     if (cfg_.termination == Termination::kCancelableBarrier)
       cancel_barrier_reset();
     // Fresh stealable surplus: hand it to a distressed lifeline neighbor.
@@ -353,23 +300,13 @@ class UpcWorker final : public NodeSink {
               expect, kServicing, std::memory_order_acq_rel))
         return;  // thief gave up first
     }
-    // The thief published its span id before the request CAS, so this read
-    // is ordered by the protocol's own acquire of steal_request (0 when no
-    // observer is attached or the thief predates this run's spans).
-    const std::uint64_t sid =
-        obs_ != nullptr ? obs_->spans().active(req, me_) : 0;
     // A cancelled victim load-sheds: granting would only hand the thief
     // nodes it (or we) must bleed anyway, and could bounce work between
     // cancelled ranks indefinitely.
     const std::int64_t chunks =
         cancelled_ ? 0 : static_cast<std::int64_t>(my_.shared_size() / k_);
     if (chunks < 1) {
-      ++st_.c.requests_denied;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), req, 0, false);
-      if (sid != 0)
-        obs_->spans().event(me_, sid, obs::SpanPhase::kDeny, ctx_.now_ns(),
-                            me_, req);
+      rec_.deny(req);
       // One remote write tells the thief it was denied.
       ctx_.put(g_.slots[req].resp_amount, req, std::int64_t{0});
     } else {
@@ -389,14 +326,7 @@ class UpcWorker final : public NodeSink {
       std::memcpy(box.data(), my_.slot(begin), take * nb_);
       ctx_.charge(ctx_.net().local_ref_ns);  // local staging copy
       my_.maybe_compact();
-      ++st_.c.requests_serviced;
-      if (m_services_ != nullptr) ++*m_services_;
-      if (cfg_.trace != nullptr)
-        cfg_.trace->service(me_, ctx_.now_ns(), req,
-                            static_cast<std::int64_t>(take), true);
-      if (sid != 0)
-        obs_->spans().event(me_, sid, obs::SpanPhase::kService, ctx_.now_ns(),
-                            me_, req, static_cast<std::int64_t>(take));
+      rec_.grant(req, take);
       // Two remote writes: the amount granted and the work's location.
       ctx_.put(g_.slots[req].resp_amount, req,
                static_cast<std::int64_t>(take));
@@ -409,19 +339,18 @@ class UpcWorker final : public NodeSink {
   // ---- searching / stealing ----
 
   std::int64_t probe(int v) {
-    ++st_.c.probes;
-    if (m_probes_ != nullptr) ++*m_probes_;
+    rec_.probe();
     return ctx_.get(g_.stacks[v].work_avail(), v);
   }
 
   bool attempt_steal(int v) {
-    ++st_.c.steal_attempts;
+    rec_.steal_attempt();
     pgas::StealScope scope(ctx_);  // kMidSteal crash specs land in here
     const bool ok = lockless() ? steal_reqresp(v) : steal_locked(v);
-    if (!ok) ++st_.c.failed_steals;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->steal(me_, ctx_.now_ns(), v,
-                        ok ? static_cast<std::int64_t>(last_take_) : 0, ok);
+    if (ok)
+      rec_.steal_ok(v, last_take_);
+    else
+      rec_.steal_fail(v);
     return ok;
   }
 
@@ -431,12 +360,8 @@ class UpcWorker final : public NodeSink {
     StealStack& vs = g_.stacks[v];
     // Under the locked protocol the victim never executes steal code, so
     // the thief records the whole span itself — the service step lands on
-    // the victim's timeline via the event's track field.
-    if (obs_ != nullptr) {
-      span_ = obs_->spans().begin(me_, v);
-      obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                          me_, v);
-    }
+    // the victim's timeline.
+    rec_.span_begin(v, /*publish=*/false);
     std::size_t take = 0, begin = 0;
     {
       pgas::LockGuard guard(ctx_, vs.lock());
@@ -458,27 +383,19 @@ class UpcWorker final : public NodeSink {
         ctx_.put(vs.work_avail(), v, left);
         note_avail(vs, left);
         vs.begin_transfer();
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kService,
-                              ctx_.now_ns(), v, me_,
-                              static_cast<std::int64_t>(take));
+        rec_.span_at_victim(SpanPhase::kService,
+                            static_cast<std::int64_t>(take));
       }
     }
     if (take == 0) {
-      if (span_ != 0) {
-        obs_->spans().event(me_, span_, obs::SpanPhase::kDeny, ctx_.now_ns(),
-                            v, me_);
-        span_ = 0;
-      }
+      rec_.span_at_victim(SpanPhase::kDeny);
       return false;
     }
     xfer_.resize(take * nb_);
     ctx_.bulk_get(xfer_.data(), vs.slot(begin), take * nb_, v);
     vs.end_transfer();
     ctx_.charge_ref(v);  // remote completion notice for the in-flight count
-    if (span_ != 0)
-      obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer, ctx_.now_ns(),
-                          me_, v, static_cast<std::int64_t>(take));
+    rec_.span(SpanPhase::kTransfer, static_cast<std::int64_t>(take));
     return absorb(take, crash_mode_ ? &board_->rec(me_, v) : nullptr);
   }
 
@@ -498,15 +415,10 @@ class UpcWorker final : public NodeSink {
     mine.resp_amount.store(kRespPending, std::memory_order_release);
     // Publish the span id before the request CAS makes it visible: the
     // victim reads it when servicing and records its side under this id.
-    if (obs_ != nullptr) {
-      span_ = obs_->spans().begin(me_, v);
-      obs_->spans().publish_active(me_, v, span_);
-      obs_->spans().event(me_, span_, obs::SpanPhase::kRequest, ctx_.now_ns(),
-                          me_, v);
-    }
+    rec_.span_begin(v, /*publish=*/true);
     int expect = kNoRequest;
     if (!ctx_.cas(g_.slots[v].steal_request, v, expect, me_)) {
-      abandon_span(v);
+      rec_.span_abandon();
       return false;  // another thief got there first; move on
     }
     const bool hardened = cfg_.hardened();
@@ -519,7 +431,7 @@ class UpcWorker final : public NodeSink {
       const std::int64_t a = mine.resp_amount.load(std::memory_order_acquire);
       if (a == 0) {
         // Denied; the victim recorded the span's kDeny when it answered.
-        drop_span(v);
+        rec_.span_drop();
         backoff_ns_ = cfg_.steal_backoff_ns;  // the victim answered in time
         return false;                         // denied
       }
@@ -528,13 +440,9 @@ class UpcWorker final : public NodeSink {
         xfer_.resize(take * nb_);
         ctx_.bulk_get(xfer_.data(), g_.slots[v].outbox[me_].data(), take * nb_,
                       v);
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTransfer,
-                              ctx_.now_ns(), me_, v,
-                              static_cast<std::int64_t>(take));
+        rec_.span(SpanPhase::kTransfer, static_cast<std::int64_t>(take));
         const bool landed =
             absorb(take, crash_mode_ ? &board_->rec(v, me_) : nullptr);
-        if (obs_ != nullptr) obs_->spans().clear_active(me_, v);
         backoff_ns_ = cfg_.steal_backoff_ns;
         return landed;
       }
@@ -548,38 +456,27 @@ class UpcWorker final : public NodeSink {
         if (board_->retire(ctx_, rec)) {
           const std::size_t take = rec.nnodes;
           xfer_.assign(rec.payload.begin(), rec.payload.end());
-          if (span_ != 0)
-            obs_->spans().event(me_, span_, obs::SpanPhase::kSalvage,
-                                ctx_.now_ns(), me_, v,
-                                static_cast<std::int64_t>(take));
+          rec_.span(SpanPhase::kSalvage, static_cast<std::int64_t>(take));
           absorb(take);
-          if (obs_ != nullptr) obs_->spans().clear_active(me_, v);
           backoff_ns_ = cfg_.steal_backoff_ns;
           return true;
         }
-        abandon_span(v);
+        rec_.span_abandon();
         return false;
       }
       if (cancelable && ctx_.now_ns() >= deadline) {
         int still_me = me_;
         if (ctx_.cas(g_.slots[v].steal_request, v, still_me, kNoRequest)) {
           // Withdrawn before the victim claimed it; no response will come.
-          ++st_.c.steal_timeouts;
-          if (cfg_.trace != nullptr)
-            cfg_.trace->timeout(me_, ctx_.now_ns(), v);
-          if (span_ != 0)
-            obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                                ctx_.now_ns(), me_, v);
-          abandon_span(v);
+          rec_.timeout(v);
+          rec_.span_abandon();
           ctx_.charge(backoff_ns_);
           backoff_ns_ = std::min(backoff_ns_ * 2, cfg_.steal_backoff_max_ns);
           return false;
         }
         // The victim already claimed (kServicing) or answered: a response
         // is committed, so stop trying to cancel and wait it out.
-        if (span_ != 0)
-          obs_->spans().event(me_, span_, obs::SpanPhase::kTimeout,
-                              ctx_.now_ns(), me_, v);
+        rec_.span(SpanPhase::kTimeout);
         cancelable = false;
       }
       // Pending. Keep global liveness while we wait: deny steal requests
@@ -588,28 +485,11 @@ class UpcWorker final : public NodeSink {
       if (lockless()) service_requests();
       if (probe_term() &&
           g_.slots[me_].term_flag.load(std::memory_order_acquire)) {
-        abandon_span(v);
+        rec_.span_abandon();
         return false;  // caller re-checks the flag and exits
       }
       ctx_.yield();
     }
-  }
-
-  /// Close the outstanding steal span as abandoned (thief walked away).
-  void abandon_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon, ctx_.now_ns(),
-                        me_, v);
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
-  }
-
-  /// Forget the outstanding span without a terminal event of our own (the
-  /// victim recorded the terminal kDeny).
-  void drop_span(int v) {
-    if (span_ == 0) return;
-    obs_->spans().clear_active(me_, v);
-    span_ = 0;
   }
 
   /// Returns false when the lineage record was already replayed by a
@@ -623,11 +503,7 @@ class UpcWorker final : public NodeSink {
     // is on the replayer's stack and we must not apply it a second time.
     if (rec != nullptr) {
       if (!board_->retire(ctx_, *rec)) {
-        if (span_ != 0) {
-          obs_->spans().event(me_, span_, obs::SpanPhase::kAbandon,
-                              ctx_.now_ns(), me_, -1);
-          span_ = 0;
-        }
+        rec_.span_abandon();
         // Nothing landed: we are still a searcher, and must advertise as
         // one — leaving a stale "working, no surplus" here would keep every
         // peer out of the termination barrier forever.
@@ -636,17 +512,8 @@ class UpcWorker final : public NodeSink {
       }
     }
     last_take_ = take;
-    st_.steal_sizes.add(take);
     my_.push_n(xfer_.data(), take);
-    ++st_.c.steals;
-    if (m_steals_ != nullptr) ++*m_steals_;
-    st_.c.chunks_stolen += take / k_;
-    st_.c.nodes_stolen += take;
-    if (span_ != 0) {
-      obs_->spans().event(me_, span_, obs::SpanPhase::kAbsorb, ctx_.now_ns(),
-                          me_, -1, static_cast<std::int64_t>(take));
-      span_ = 0;
-    }
+    rec_.absorb(take);
     publish_avail();  // we are working again; shared region is empty
     return true;
   }
@@ -685,7 +552,7 @@ class UpcWorker final : public NodeSink {
       if (skip_victim(v) || (crash_mode_ && ctx_.rank_dead(v))) continue;
       raise_distress(v, d);
     }
-    if (m_parks_ != nullptr) ++*m_parks_;
+    rec_.park();
   }
 
   void unpark() {
@@ -727,7 +594,7 @@ class UpcWorker final : public NodeSink {
       g_.slots[me_].distress.fetch_and(~(std::uint64_t{1} << bit),
                                        std::memory_order_acq_rel);
       if (woke) {
-        if (m_wakes_ != nullptr) ++*m_wakes_;
+        rec_.wake();
         return;  // one wake per surplus event; the thief pulls half and
                  // re-releases, propagating further wakes down the graph
       }
@@ -751,7 +618,7 @@ class UpcWorker final : public NodeSink {
       if (r == me_ || !ctx_.rank_dead(r) || board_->salvage_done(r)) continue;
       const std::uint64_t rb = ctx_.now_ns();
       if (salvage_stack(r)) got = true;
-      if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
+      rec_.recovery_interval(rb);
     }
     for (int w = 0; w < n_; ++w) {
       for (int p = 0; p < n_; ++p) {
@@ -764,7 +631,7 @@ class UpcWorker final : public NodeSink {
         if (!victim_dead && !thief_dead) continue;
         const std::uint64_t rb = ctx_.now_ns();
         if (replay_record(rec)) got = true;
-        if (obs_ != nullptr) obs_->recovery_interval(me_, rb, ctx_.now_ns());
+        rec_.recovery_interval(rb);
       }
     }
     return got;
@@ -795,11 +662,7 @@ class UpcWorker final : public NodeSink {
     // so a crash landing in this charge cannot lose them (our own death
     // hands them to the next salvager).
     ctx_.charge(ctx_.net().bulk_ns(me_, r, taken * nb_));
-    ++st_.c.salvages;
-    st_.c.recovered_nodes += taken;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), r,
-                          static_cast<std::int64_t>(taken));
+    rec_.salvage(r, taken);
     return taken > 0;
   }
 
@@ -817,11 +680,7 @@ class UpcWorker final : public NodeSink {
     board_->note_replay();
     my_.push_n(rec.payload.data(), rec.nnodes);
     ctx_.charge(ctx_.net().bulk_ns(me_, rec.victim, rec.nnodes * nb_));
-    ++st_.c.replays;
-    st_.c.recovered_nodes += rec.nnodes;
-    if (cfg_.trace != nullptr)
-      cfg_.trace->recover(me_, ctx_.now_ns(), rec.victim,
-                          static_cast<std::int64_t>(rec.nnodes));
+    rec_.replay(rec.victim, rec.nnodes);
     return rec.nnodes > 0;
   }
 
@@ -917,13 +776,13 @@ class UpcWorker final : public NodeSink {
   }
 
   bool single_rank_done_cb() {
-    set_state(State::kTermination);
+    rec_.state(State::kTermination);
     ++st_.c.barrier_entries;
     return cancelable_barrier();  // count hits 1 == n -> done
   }
 
   bool single_rank_done_probe() {
-    set_state(State::kTermination);
+    rec_.state(State::kTermination);
     ++st_.c.barrier_entries;
     bar_enter();
     announce_termination();
@@ -933,7 +792,7 @@ class UpcWorker final : public NodeSink {
   /// §3.1 search loop: cycle victims; if a whole cycle fails, wait in the
   /// cancelable barrier and retry when cancelled.
   bool find_work_cb() {
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     for (;;) {
       if (drain_check()) return false;
       cancel_check();
@@ -941,7 +800,7 @@ class UpcWorker final : public NodeSink {
         // A cancelled rank still recovers (so no dead rank's work is ever
         // stranded) — the recovered nodes are then bled by do_work().
         publish_avail();
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       if (!cancelled_) {
@@ -949,21 +808,21 @@ class UpcWorker final : public NodeSink {
         for (int v : perm_) {
           if (skip_victim(v)) continue;
           if (probe(v) >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
+            rec_.state(State::kStealing);
             if (attempt_steal(v)) {
-              set_state(State::kWorking);
+              rec_.state(State::kWorking);
               return true;
             }
-            set_state(State::kSearching);
+            rec_.state(State::kSearching);
           }
           if (lockless()) service_requests();
           ctx_.yield();
         }
       }
-      set_state(State::kTermination);
+      rec_.state(State::kTermination);
       ++st_.c.barrier_entries;
       if (cancelable_barrier()) return false;
-      set_state(State::kSearching);
+      rec_.state(State::kSearching);
     }
   }
 
@@ -1042,13 +901,13 @@ class UpcWorker final : public NodeSink {
   /// surplus" (0) from "no work at all" (-1); enter the barrier only when
   /// every other rank reports the latter.
   bool find_work_probe() {
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     for (;;) {
       if (drain_check()) return false;
       cancel_check();
       if (maybe_recover()) {
         publish_avail();
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       bool any_working = false;
@@ -1059,12 +918,12 @@ class UpcWorker final : public NodeSink {
           if (check_term_flag()) return false;
           const std::int64_t a = probe(v);
           if (a >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
+            rec_.state(State::kStealing);
             if (attempt_steal(v)) {
-              set_state(State::kWorking);
+              rec_.state(State::kWorking);
               return true;
             }
-            set_state(State::kSearching);
+            rec_.state(State::kSearching);
           } else if (a != kNoWorkAtAll) {
             any_working = true;  // working, just no surplus published yet
           }
@@ -1075,7 +934,7 @@ class UpcWorker final : public NodeSink {
       if (!any_working) {
         const int r = barrier_probe();
         if (r == 1) return false;
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
     }
@@ -1088,13 +947,13 @@ class UpcWorker final : public NodeSink {
   /// rank is idle with an empty stack, so termination stays exact; a
   /// missed wake costs latency, never correctness.
   bool find_work_lifeline() {
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     for (;;) {
       if (drain_check()) return false;
       cancel_check();
       if (maybe_recover()) {
         publish_avail();
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       if (!cancelled_) {
@@ -1103,12 +962,12 @@ class UpcWorker final : public NodeSink {
           if (skip_victim(v)) continue;
           if (check_term_flag()) return false;
           if (probe(v) >= static_cast<std::int64_t>(k_)) {
-            set_state(State::kStealing);
+            rec_.state(State::kStealing);
             if (attempt_steal(v)) {
-              set_state(State::kWorking);
+              rec_.state(State::kWorking);
               return true;
             }
-            set_state(State::kSearching);
+            rec_.state(State::kSearching);
           }
           if (lockless()) service_requests();
           ctx_.yield();
@@ -1118,7 +977,7 @@ class UpcWorker final : public NodeSink {
       const int r = barrier_probe();
       if (r == 1) return false;
       unpark();  // covers the recovery-leave path; wake path already unparked
-      set_state(State::kWorking);
+      rec_.state(State::kWorking);
       return true;
     }
   }
@@ -1129,7 +988,7 @@ class UpcWorker final : public NodeSink {
   /// down the sample on failed attempts). Barrier entry and in-barrier
   /// probing are the base §3.3.1 protocol.
   bool find_work_sample() {
-    set_state(State::kSearching);
+    rec_.state(State::kSearching);
     const int m = std::max(
         1, static_cast<int>(std::lround(cfg_.sample_frac * (n_ - 1))));
     for (;;) {
@@ -1137,7 +996,7 @@ class UpcWorker final : public NodeSink {
       cancel_check();
       if (maybe_recover()) {
         publish_avail();
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
       bool any_working = false;
@@ -1169,12 +1028,12 @@ class UpcWorker final : public NodeSink {
               static_cast<std::size_t>(cfg_.quantile *
                                        static_cast<double>(sampled_.size())));
           const int v = sampled_[idx].second;
-          set_state(State::kStealing);
+          rec_.state(State::kStealing);
           if (attempt_steal(v)) {
-            set_state(State::kWorking);
+            rec_.state(State::kWorking);
             return true;
           }
-          set_state(State::kSearching);
+          rec_.state(State::kSearching);
           sampled_.erase(sampled_.begin() +
                          static_cast<std::ptrdiff_t>(idx));
           if (lockless()) service_requests();
@@ -1184,7 +1043,7 @@ class UpcWorker final : public NodeSink {
       if (!any_working) {
         const int r = barrier_probe();
         if (r == 1) return false;
-        set_state(State::kWorking);
+        rec_.state(State::kWorking);
         return true;
       }
     }
@@ -1197,7 +1056,7 @@ class UpcWorker final : public NodeSink {
   /// sweep, and the termination condition is re-evaluated as deaths are
   /// detected.
   int barrier_probe() {
-    set_state(State::kTermination);
+    rec_.state(State::kTermination);
     ++st_.c.barrier_entries;
     int cnt = bar_enter();
     if (term_satisfied(cnt)) {
@@ -1250,14 +1109,14 @@ class UpcWorker final : public NodeSink {
           const bool buggy = cfg_.bug_drop_distress;
           if (!buggy) bar_leave();
           unpark();
-          set_state(State::kStealing);
+          rec_.state(State::kStealing);
           bool ok = false;
           if (!(skip_victim(w) || (crash_mode_ && ctx_.rank_dead(w))))
             ok = attempt_steal(w);
           if (ok) return 0;
           // Wake went stale (victim drained its surplus or died): re-park,
           // re-raise distress, and re-enter the barrier.
-          set_state(State::kTermination);
+          rec_.state(State::kTermination);
           park_lifelines();
           if (!buggy) {
             cnt = bar_enter();
@@ -1274,9 +1133,9 @@ class UpcWorker final : public NodeSink {
           // Leave the barrier *before* stealing so that bar_count reaching
           // the target really implies no thread holds or is acquiring work.
           bar_leave();
-          set_state(State::kStealing);
+          rec_.state(State::kStealing);
           if (attempt_steal(v)) return 0;
-          set_state(State::kTermination);
+          rec_.state(State::kTermination);
           cnt = bar_enter();
           if (term_satisfied(cnt)) {
             announce_termination();
@@ -1342,6 +1201,7 @@ class UpcWorker final : public NodeSink {
   const std::size_t nb_;
   StealStack& my_;
   stats::ThreadStats st_;
+  Recorder rec_;
   std::vector<std::byte> nodebuf_;
   std::vector<std::byte> xfer_;
   std::vector<int> perm_;
@@ -1365,16 +1225,6 @@ class UpcWorker final : public NodeSink {
   bool cancelled_ = false;
   /// nodebuf_ holds a popped-but-uncounted node (see visit()).
   bool visiting_ = false;
-  /// Telemetry (all null/0 when no observer is attached).
-  obs::Observer* obs_;
-  std::uint64_t* m_steals_ = nullptr;
-  std::uint64_t* m_probes_ = nullptr;
-  std::uint64_t* m_releases_ = nullptr;
-  std::uint64_t* m_services_ = nullptr;
-  std::uint64_t* m_parks_ = nullptr;
-  std::uint64_t* m_wakes_ = nullptr;
-  /// Id of this thief's outstanding steal span (0 = none).
-  std::uint64_t span_ = 0;
 };
 
 }  // namespace

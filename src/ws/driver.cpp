@@ -11,57 +11,13 @@
 #include "ws/algo_mpi.hpp"
 #include "ws/algo_push.hpp"
 #include "ws/algo_upc.hpp"
+#include "ws/recorder.hpp"
 #include "ws/recovery.hpp"
 #include "ws/shared_state.hpp"
 
 namespace upcws::ws {
 
 namespace {
-
-/// Copy the rank's injected-fault tallies into its stats block and merge
-/// its fault events into the trace. Must run inside the SPMD body: the
-/// injectors live only for the duration of Engine::run.
-void harvest_faults(pgas::Ctx& ctx, stats::ThreadStats& st,
-                    trace::Trace* tr) {
-  pgas::FaultInjector* fi = ctx.faults();
-  if (fi == nullptr) return;
-  const pgas::FaultCounters& fc = fi->counters();
-  st.c.faults_stalls = fc.stalls;
-  st.c.faults_stall_ns = fc.stall_ns_total;
-  st.c.faults_spikes = fc.spikes;
-  st.c.faults_dropped = fc.msgs_dropped;
-  st.c.faults_duplicated = fc.msgs_duplicated;
-  st.c.faults_drains = fc.drains;
-  st.c.faults_joins = fc.joins;
-  st.c.faults_partition_delays = fc.partition_delays;
-  st.c.faults_partition_delay_ns = fc.partition_delay_ns_total;
-  st.c.faults_crashes = fc.crashes;
-  st.c.locks_revoked = ctx.locks_revoked();
-  st.c.stale_unlocks = ctx.stale_unlocks();
-  if (tr == nullptr) return;
-  for (const pgas::FaultEvent& e : fi->events()) {
-    if (e.kind == pgas::FaultEvent::Kind::kCrash) {
-      tr->crash(ctx.rank(), e.t_ns);
-      continue;
-    }
-    trace::Kind k = trace::Kind::kStall;
-    switch (e.kind) {
-      case pgas::FaultEvent::Kind::kStall: k = trace::Kind::kStall; break;
-      case pgas::FaultEvent::Kind::kSpike: k = trace::Kind::kSpike; break;
-      case pgas::FaultEvent::Kind::kMsgDrop: k = trace::Kind::kMsgDrop; break;
-      case pgas::FaultEvent::Kind::kMsgDup: k = trace::Kind::kMsgDup; break;
-      case pgas::FaultEvent::Kind::kDrain: k = trace::Kind::kDrain; break;
-      case pgas::FaultEvent::Kind::kJoin: k = trace::Kind::kJoin; break;
-      case pgas::FaultEvent::Kind::kPartitionDelay:
-        k = trace::Kind::kPartitionDelay;
-        break;
-      case pgas::FaultEvent::Kind::kCrash: break;  // handled above
-    }
-    tr->fault(ctx.rank(), e.t_ns, k, static_cast<std::int64_t>(e.ns));
-  }
-  for (const pgas::Ctx::RevokeEvent& rv : ctx.revocations())
-    tr->revoke(ctx.rank(), rv.t_ns, rv.dead_holder);
-}
 
 /// Per-rank liveness view for hang reports: who is dead, since when, and
 /// what detection latency viewers apply.
@@ -166,7 +122,6 @@ SearchResult run_search(pgas::Engine& engine, const pgas::RunConfig& rcfg,
               ? run_push_rank(ctx, comm, stacks[ctx.rank()], prob, cfg)
               : run_mpi_rank(ctx, comm, stacks[ctx.rank()], prob, cfg,
                              board);
-      harvest_faults(ctx, per_thread[ctx.rank()], cfg.trace);
     });
     if (cfg.check_detach) cfg.check_detach();
   } else {
@@ -222,7 +177,6 @@ SearchResult run_search(pgas::Engine& engine, const pgas::RunConfig& rcfg,
       };
     result.run = engine.run(rc, [&](pgas::Ctx& ctx) {
       per_thread[ctx.rank()] = run_upc_rank(ctx, g, prob, cfg);
-      harvest_faults(ctx, per_thread[ctx.rank()], cfg.trace);
     });
     if (cfg.check_detach) cfg.check_detach();
   }
@@ -240,13 +194,14 @@ namespace {
 /// Plain per-rank DFS over an explicit stack, no balancing.
 class StaticRank final : public NodeSink {
  public:
-  StaticRank(pgas::Ctx& ctx, const Problem& prob) : ctx_(ctx), prob_(prob) {
+  StaticRank(pgas::Ctx& ctx, const Problem& prob)
+      : ctx_(ctx), prob_(prob), rec_(ctx, st_, kUnobserved) {
     stack_.init(prob.node_bytes(), ctx.rank());
     nodebuf_.resize(prob.node_bytes());
   }
 
   stats::ThreadStats run() {
-    st_.timer.start(stats::State::kWorking, ctx_.now_ns());
+    rec_.start();
     // Expand the root on every rank (cheap, once), keep our share of its
     // children. The root itself is credited to rank 0.
     std::vector<std::byte> root(prob_.node_bytes());
@@ -269,7 +224,7 @@ class StaticRank final : public NodeSink {
           std::max<std::uint64_t>(st_.c.max_stack, stack_.depth());
       ctx_.yield();
     }
-    st_.timer.stop(ctx_.now_ns());
+    rec_.finish();
     return st_;
   }
 
@@ -281,10 +236,14 @@ class StaticRank final : public NodeSink {
   }
 
  private:
+  /// No trace, no observer: the static baseline records stats only.
+  static inline const WsConfig kUnobserved{};
+
   pgas::Ctx& ctx_;
   const Problem& prob_;
   StealStack stack_;
   stats::ThreadStats st_;
+  Recorder rec_;
   std::vector<std::byte> nodebuf_;
   bool keep_modulo_ = false;
   int child_idx_ = 0;
@@ -303,7 +262,6 @@ SearchResult run_static_partition(pgas::Engine& engine,
   result.run = engine.run(rcfg, [&](pgas::Ctx& ctx) {
     StaticRank r(ctx, prob);
     per_thread[ctx.rank()] = r.run();
-    harvest_faults(ctx, per_thread[ctx.rank()], nullptr);
   });
   const double seq_rate =
       seq_nodes_per_sec > 0.0

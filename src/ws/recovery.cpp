@@ -67,4 +67,12 @@ bool RecoveryBoard::orphan_pending(pgas::Ctx& viewer) const {
   return false;
 }
 
+std::int64_t RecoveryBoard::backlog() const {
+  std::int64_t pending = 0;
+  for (const TransferRec& r : recs_)
+    if (r.state.load(std::memory_order_relaxed) == TransferRec::kPending)
+      ++pending;
+  return pending;
+}
+
 }  // namespace upcws::ws

@@ -83,16 +83,6 @@ class RecoveryBoard {
   void publish(int writer, int peer, int victim, int thief,
                const std::byte* data, std::uint32_t count);
 
-  /// Thief side: retire rec(writer, peer) after absorbing its nodes.
-  /// Returns false if a recoverer claimed it first (the absorbed copy must
-  /// then be discarded).
-  bool complete(int writer, int peer) {
-    int expect = TransferRec::kPending;
-    return rec(writer, peer)
-        .state.compare_exchange_strong(expect, TransferRec::kDone,
-                                       std::memory_order_acq_rel);
-  }
-
   /// Recoverer side: claim a pending record for replay (exactly one
   /// claimer wins).
   static bool claim(TransferRec& r) {
@@ -105,8 +95,8 @@ class RecoveryBoard {
   //
   // All pending -> {done, claimed} transitions in the algorithms go through
   // retire()/claim_rec() below. With bug_weak_claim false (always, outside
-  // the schedule checker's self-test) they are exactly the CAS of
-  // complete()/claim() — no extra Ctx charges, no behavior change. With it
+  // the schedule checker's self-test) they are exactly a CAS out of
+  // kPending — no extra Ctx charges, no behavior change. With it
   // true they become a read / yield / write with a deliberate TOCTOU window:
   // a live thief's retire can then race a survivor's replay claim on the
   // same record, so both sides keep the chunk and the race double-counts
@@ -161,6 +151,10 @@ class RecoveryBoard {
   /// exists, termination must wait: its nodes are reachable only through a
   /// replay.
   bool orphan_pending(pgas::Ctx& viewer) const;
+
+  /// Records currently pending, by a raw scan that charges no Ctx time —
+  /// the recovery_backlog gauge.
+  std::int64_t backlog() const;
 
   // ---- failure-aware barrier bookkeeping (UPC family) ----
 

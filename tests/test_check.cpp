@@ -386,6 +386,25 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
   }
 }
 
+// Crash/drain/join operands go through the shared fault-plan codec and the
+// plan is checked against nranks: an impossible plan must not load (a
+// negative time would otherwise wrap to ~1.8e19 ns and never fire).
+TEST(CheckReplayFile, RejectsImpossibleFaultPlans) {
+  const std::string head =
+      "upcws-replay v1\nalgo upc-distmem\nnranks 4\n";
+  for (const char* line :
+       {"crash 1@-5 anywhere\n", "crash 9@5000 anywhere\n",
+        "crash -1@5000 anywhere\n", "drain 4@5000\n", "join 2@-1\n",
+        "join 0@5000\n", "partition 15 100 200\n",
+        "partition 3 200 100\n"}) {
+    std::stringstream ss(head + line + "oracle none\ntrail\n");
+    EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
+  }
+  std::stringstream ok(head +
+                       "crash 3@5000 anywhere\njoin 1@100\ntrail\n");
+  EXPECT_EQ(check::read_replay(ok).spec.crashes.at(0).rank, 3);
+}
+
 TEST(CheckReplayFile, CleanExpectationMatchesOnlyCleanRuns) {
   check::ReplayFile rf;
   rf.spec = clean_spec();

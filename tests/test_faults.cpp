@@ -5,6 +5,8 @@
 // the progress watchdog with a structured report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "pgas/faults.hpp"
@@ -32,6 +34,78 @@ ws::WsConfig hardened_cfg(ws::Algo a, int chunk,
   ws::WsConfig cfg = ws::WsConfig::for_algo(a, chunk);
   cfg.steal_timeout_ns = timeout_ns;  // default: 10x the modeled 3 us RTT
   return cfg;
+}
+
+// ---------------------------------------------------------------------------
+// Fault-plan codec and shape check (shared by every CLI and replay files).
+
+TEST(FaultPlanCodec, ParsesRankAtListsStrictly) {
+  const auto v = pgas::parse_rank_at_list("1@100,3@18446744073709551615",
+                                          "--crash");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].rank, 1);
+  EXPECT_EQ(v[0].at_ns, 100u);
+  EXPECT_EQ(v[1].rank, 3);
+  EXPECT_EQ(v[1].at_ns, UINT64_MAX);
+  EXPECT_EQ(pgas::parse_rank_at("7@0", "crash").rank, 7);
+  for (const char* bad : {"", "1@-5", "-1@5", "1@", "@5", "1", "1@5,",
+                          "1@5x", " 1@5", "1@18446744073709551616",
+                          "99999999999@5"})
+    EXPECT_THROW(pgas::parse_rank_at_list(bad, "--crash"),
+                 std::invalid_argument)
+        << bad;
+  EXPECT_THROW(pgas::parse_rank_at("1@5,2@6", "crash"), std::invalid_argument);
+  try {
+    pgas::parse_rank_at_list("2@7,1@-5", "--drain");
+    FAIL() << "negative time accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bad --drain operand '1@-5' (want RANK@NS)");
+  }
+}
+
+TEST(FaultPlanCodec, ValidatesPlanAgainstRankCount) {
+  pgas::FaultPlan ok;
+  ok.crashes.push_back({3, 100});
+  ok.drains.push_back({0, 100});
+  ok.joins.push_back({1, 100});
+  ok.partitions.push_back({0b0110, 10, 20});
+  EXPECT_NO_THROW(pgas::validate_plan(ok, 4));
+
+  auto message = [](const pgas::FaultPlan& fp, const std::string& prefix) {
+    try {
+      pgas::validate_plan(fp, 4, prefix);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  pgas::FaultPlan crash = ok;
+  crash.crashes.push_back({99, 100});
+  EXPECT_EQ(message(crash, "--"), "--crash rank 99 out of range [0,4)");
+  EXPECT_EQ(message(crash, ""), "crash rank 99 out of range [0,4)");
+  pgas::FaultPlan join0 = ok;
+  join0.joins.push_back({0, 5});
+  EXPECT_EQ(message(join0, "--"),
+            "--join rank 0 is invalid (rank 0 seeds the root)");
+  pgas::FaultPlan drain = ok;
+  drain.drains.push_back({-1, 5});
+  EXPECT_NE(message(drain, "--").find("--drain rank -1"), std::string::npos);
+  pgas::FaultPlan stall;
+  stall.stall_ns = stall.stall_period_ns = 10;
+  stall.stall_rank = 4;
+  EXPECT_NE(message(stall, "--").find("--stall rank 4"), std::string::npos);
+  pgas::FaultPlan drop;
+  drop.dup_prob = 1.5;
+  EXPECT_NE(message(drop, "--").find("--dup-prob"), std::string::npos);
+  for (const pgas::PartitionSpec& ps :
+       {pgas::PartitionSpec{0b0110, 20, 20}, pgas::PartitionSpec{0b10000, 1, 2},
+        pgas::PartitionSpec{0, 1, 2}, pgas::PartitionSpec{0b1111, 1, 2}}) {
+    pgas::FaultPlan part;
+    part.partitions.push_back(ps);
+    EXPECT_NE(message(part, "--").find("--partition"), std::string::npos)
+        << ps.group_mask;
+  }
 }
 
 // ---------------------------------------------------------------------------

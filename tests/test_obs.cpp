@@ -127,29 +127,70 @@ TEST(ObsSampler, CadenceAlignedAndMonotone) {
 TEST(ObsInvariance, RunIsIdenticalWithAndWithoutObserver) {
   const uts::Params p = uts::test_small(5);
   const ws::UtsProblem prob(p);
-  for (ws::Algo a : {ws::Algo::kUpcSharedMem, ws::Algo::kUpcDistMem,
-                     ws::Algo::kMpiWs, ws::Algo::kWorkPush}) {
+  for (ws::Algo a : ws::kAllAlgosExtended) {
     pgas::SimEngine eng;
     const ws::WsConfig plain = ws::WsConfig::for_algo(a, 5);
     const auto bare = ws::run_search(eng, dist_cfg(8, 21), prob, plain);
 
+    // The watched side attaches every sink the Recorder fans out to.
     obs::Observer ob;
+    trace::Trace tr(8);
     ws::WsConfig cfg = plain;
     cfg.obs = &ob;
     cfg.obs_sample_ns = 20'000;
+    cfg.trace = &tr;
     const auto watched = ws::run_search(eng, dist_cfg(8, 21), prob, cfg);
 
+    EXPECT_GT(tr.total_events(), 0u) << ws::algo_label(a);
     EXPECT_EQ(bare.agg.total_nodes, watched.agg.total_nodes) << ws::algo_label(a);
-    EXPECT_EQ(bare.agg.total_steals, watched.agg.total_steals);
     EXPECT_EQ(bare.agg.elapsed_s, watched.agg.elapsed_s) << ws::algo_label(a);
     ASSERT_EQ(bare.per_thread.size(), watched.per_thread.size());
     for (std::size_t r = 0; r < bare.per_thread.size(); ++r) {
-      EXPECT_EQ(bare.per_thread[r].c.nodes, watched.per_thread[r].c.nodes);
-      EXPECT_EQ(bare.per_thread[r].c.steals, watched.per_thread[r].c.steals);
-      EXPECT_EQ(bare.per_thread[r].timer.total_ns(),
-                watched.per_thread[r].timer.total_ns())
-          << ws::algo_label(a) << " rank " << r;
+      const stats::ThreadStats& b = bare.per_thread[r];
+      const stats::ThreadStats& w = watched.per_thread[r];
+      EXPECT_TRUE(b.c == w.c)
+          << "a counter differs: " << ws::algo_label(a) << " rank " << r;
+      for (int s = 0; s < static_cast<int>(stats::State::kCount); ++s) {
+        const auto st = static_cast<stats::State>(s);
+        EXPECT_EQ(b.timer.ns_in(st), w.timer.ns_in(st))
+            << ws::algo_label(a) << " rank " << r << " "
+            << stats::state_name(st);
+      }
     }
+  }
+}
+
+// Registry counters that mirror a ThreadStats field are views of it, so the
+// merged registry totals equal the per-rank stats sums on every variant (a
+// series a protocol never registers reads as 0).
+TEST(ObsTotals, RegistryCountersEqualStatsSums) {
+  const uts::Params p = uts::test_small(4);
+  const ws::UtsProblem prob(p);
+  for (ws::Algo a : ws::kAllAlgosExtended) {
+    pgas::SimEngine eng;
+    obs::Observer ob;
+    ws::WsConfig cfg = ws::WsConfig::for_algo(a, 4);
+    cfg.obs = &ob;
+    cfg.obs_sample_ns = 20'000;
+    const auto res = ws::run_search(eng, dist_cfg(8, 41), prob, cfg);
+    stats::Counters sum;
+    for (const stats::ThreadStats& ts : res.per_thread) {
+      sum.steals += ts.c.steals;
+      sum.probes += ts.c.probes;
+      sum.releases += ts.c.releases;
+      sum.requests_serviced += ts.c.requests_serviced;
+    }
+    const auto totals = ob.merged_counters();
+    auto total = [&](const char* name) -> std::uint64_t {
+      const auto it = totals.find(name);
+      return it == totals.end() ? 0 : it->second;
+    };
+    const char* label = ws::algo_label(a);
+    EXPECT_GT(sum.steals, 0u) << label;
+    EXPECT_EQ(total("steals"), sum.steals) << label;
+    EXPECT_EQ(total("probes"), sum.probes) << label;
+    EXPECT_EQ(total("releases"), sum.releases) << label;
+    EXPECT_EQ(total("requests_serviced"), sum.requests_serviced) << label;
   }
 }
 
