@@ -11,9 +11,12 @@
 //
 // Figure 5 rows run upc-distmem and mpi-ws on the distributed cost model
 // (parallel psim path). Figure 6 rows run upc-sharedmem on the
-// shared-memory cost model, whose cheap references leave no positive
-// lookahead -- psim transparently takes its sequential lane there, which
-// the row's `lane` note records.
+// shared-memory cost model; its locked protocol is unmediated and its
+// cheap references leave no positive lookahead, so psim transparently
+// takes its sequential lane there. Each row's `lane` note is read back
+// from the engine after the run: `parallel` when it ran windows, otherwise
+// `serial` plus the engine's `fallback` reason. The bench exits 1 if the
+// two reports disagree.
 //
 // Flags (besides --quick/--full):
 //   --workers N   psim worker threads (default: hardware concurrency)
@@ -59,6 +62,20 @@ struct Row {
   const char* fig;    // "fig5" | "fig6"
   ws::Algo algo;
   pgas::NetModel net;
+};
+
+/// Records why PsimEngine took its serial lane, if it did; observes
+/// nothing else.
+class FallbackSink final : public pgas::ObsSink {
+ public:
+  void on_tick(int, std::uint64_t) override {}
+  void on_lock_wait(int, std::uint64_t, std::uint64_t) override {}
+  void on_stall(int, std::uint64_t, std::uint64_t) override {}
+  void on_psim_fallback(const char* reason) override { reason_ = reason; }
+  const char* reason() const { return reason_; }
+
+ private:
+  const char* reason_ = nullptr;
 };
 
 }  // namespace
@@ -107,6 +124,7 @@ int main(int argc, char** argv) {
     curves.push_back({std::string(row.fig) + "/" + ws::algo_label(row.algo),
                       {}});
 
+  bool lanes_agree = true;
   std::size_t ri = 0;
   for (const Row& row : rows) {
     for (int n : ranks) {
@@ -118,13 +136,27 @@ int main(int argc, char** argv) {
       // simulated rank keeps the footprint linear-but-small. The searches
       // use explicit steal stacks, not call recursion, so 96k is ample.
       rcfg.fiber_stack_bytes = 96 * 1024;
-      const bool parallel =
-          psim::PsimEngine::parallel_eligible(rcfg, eng.workers());
+      FallbackSink lane_sink;
+      rcfg.obs = &lane_sink;
 
       benchutil::Stopwatch sw;
       const ws::SearchResult r = ws::run_algo(eng, rcfg, row.algo, prob, chunk);
       const double wall = sw.seconds();
       const psim::PsimEngine::Stats ps = eng.last_stats();
+      // The lane is what the engine did, not what the config predicts: the
+      // driver decides mediation inside run_algo.
+      const bool parallel = ps.windows > 0;
+      if (parallel == (lane_sink.reason() != nullptr)) {
+        std::fprintf(stderr,
+                     "bench_scale: %s/%s r%d: %llu windows but fallback "
+                     "reason %s\n",
+                     row.fig, ws::algo_label(row.algo), n,
+                     static_cast<unsigned long long>(ps.windows),
+                     lane_sink.reason() ? lane_sink.reason() : "(none)");
+        lanes_agree = false;
+      }
+      const char* fallback = parallel ? "none" : lane_sink.reason();
+      if (fallback == nullptr) fallback = "unknown";
       const double epw = ps.windows > 0 ? static_cast<double>(ps.events) /
                                               static_cast<double>(ps.windows)
                                         : 0;
@@ -147,9 +179,10 @@ int main(int argc, char** argv) {
           .note("nranks", benchutil::fmt(n, 0))
           .note("workers", benchutil::fmt(eng.workers(), 0))
           .note("lane", parallel ? "parallel" : "serial")
+          .note("fallback", fallback)
           .note("tree", tree.describe());
 
-      t.add_row({name, parallel ? "par" : "seq",
+      t.add_row({name, parallel ? "par" : std::string("seq:") + fallback,
                  stats::Table::fmt(r.agg.total_nodes),
                  stats::Table::fmt(r.agg.speedup, 2),
                  stats::Table::fmt(r.agg.efficiency, 2),
@@ -248,5 +281,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: efficiency decays slowly while per-rank work stays "
       "ample; upc-distmem >= mpi-ws >> upc-sharedmem at scale.\n");
-  return rep.write_json_file(out) ? 0 : 1;
+  return rep.write_json_file(out) && lanes_agree ? 0 : 1;
 }

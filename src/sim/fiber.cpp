@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 // Two context-switch backends:
@@ -23,6 +25,10 @@
 //    switch is announced via __tsan_switch_to_fiber (without it, TSan
 //    attributes post-switch accesses to the pre-switch context and reports
 //    phantom races). Sanitizer builds therefore always take this path.
+//
+// Both backends implement the same three switches: resume() (resumer ->
+// fiber), yield_current() and the final return (fiber -> resumer), and
+// switch_to() (fiber -> fiber, handing over the resumer).
 #if defined(__x86_64__) && !defined(UPCWS_ASAN_FIBERS) &&      \
     !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #if defined(__has_feature)
@@ -52,41 +58,78 @@ namespace {
 // OS threads concurrently.
 thread_local Fiber* g_current_fiber = nullptr;
 
+// A fiber call stack. The buffer is allocated without initialisation, so
+// the kernel commits only the pages the fiber actually touches (a few per
+// fiber) rather than all of them.
+struct Stack {
+  std::unique_ptr<std::uint8_t[]> mem;
+  std::size_t bytes = 0;
+};
+
+// Stack coloring: the stack top moves down by `color` cache lines, modulo
+// one page. Without it every stack top sits at the same page offset, and
+// the hot top frames of hundreds of fibers compete for the same L1 sets.
+constexpr std::size_t kCacheLine = 64;
+constexpr std::size_t kColors = 4096 / kCacheLine;
+
+std::size_t color_offset(unsigned color) {
+  return (color % kColors) * kCacheLine;
+}
+
 // Stack pool: schedule checking and the benches construct thousands of
 // short-lived Schedulers with identically sized fiber stacks; recycling
 // the buffers through a small thread-local free list turns per-run stack
-// allocation (and first-touch faulting) into a pointer swap.
+// allocation into a pointer swap.
 class StackPool {
  public:
-  std::vector<std::uint8_t> acquire(std::size_t bytes) {
+  Stack acquire(std::size_t bytes) {
     for (std::size_t i = free_.size(); i-- > 0;) {
-      if (free_[i].size() == bytes) {
-        std::vector<std::uint8_t> buf = std::move(free_[i]);
+      if (free_[i].bytes == bytes) {
+        Stack s = std::move(free_[i]);
         free_[i] = std::move(free_.back());
         free_.pop_back();
         cached_bytes_ -= bytes;
-        return buf;
+        return s;
       }
     }
-    return std::vector<std::uint8_t>(bytes);
+    return {std::make_unique_for_overwrite<std::uint8_t[]>(bytes), bytes};
   }
 
-  void release(std::vector<std::uint8_t>&& buf) {
-    if (cached_bytes_ + buf.size() > kMaxCachedBytes) return;  // drop it
-    cached_bytes_ += buf.size();
-    free_.push_back(std::move(buf));
+  void release(Stack&& s) {
+    if (cached_bytes_ + s.bytes > kMaxCachedBytes) return;  // drop it
+    cached_bytes_ += s.bytes;
+    free_.push_back(std::move(s));
   }
 
  private:
   // Enough for several hundred default-size (256 KiB) stacks; a bound so
   // an unusual mix of stack sizes cannot pin memory forever.
   static constexpr std::size_t kMaxCachedBytes = 128u << 20;
-  std::vector<std::vector<std::uint8_t>> free_;
+  std::vector<Stack> free_;
   std::size_t cached_bytes_ = 0;
 };
 
 thread_local StackPool g_stack_pool;
+
+/// The running fiber, or logic_error naming `what` off-fiber.
+Fiber& running(const char* what) {
+  if (g_current_fiber == nullptr)
+    throw std::logic_error(std::string("Fiber::") + what +
+                           " outside fiber context");
+  return *g_current_fiber;
+}
 }  // namespace
+
+void Fiber::on_wake() {
+  if (!cancel_) return;
+  // Throwing here is only safe from a plain yield: if the fiber suspended
+  // mid-unwind of another exception, or inside a shielded region (a lock
+  // release reached from a noexcept destructor), a second throw terminates
+  // the process. Leave the cancel pending; the next safe yield delivers it.
+  if (unwind_depth_ > 0 || shield_) return;
+  unwinding_ = true;
+  throw Cancelled{};
+}
 
 #ifdef UPCWS_FAST_FIBER
 
@@ -142,14 +185,15 @@ void upcws_fiber_entry(void* fiber);
 struct Fiber::Impl {
   void* self_sp = nullptr;     // fiber's saved %rsp while suspended
   void* resumer_sp = nullptr;  // resumer's saved %rsp while fiber runs
-  std::vector<std::uint8_t> stack;
+  Stack stack;
+  std::size_t top_offset = 0;  // stack color, in bytes below the top
 
   /// Build the initial frame so the first switch "returns" into the entry
   /// thunk with `f` in %r12 and the ABI-required stack alignment (%rsp
   /// ≡ 0 mod 16 at the thunk, hence ≡ 8 at upcws_fiber_entry's entry).
   void prepare(Fiber* f) {
-    auto top_addr =
-        reinterpret_cast<std::uintptr_t>(stack.data() + stack.size());
+    auto top_addr = reinterpret_cast<std::uintptr_t>(stack.mem.get() +
+                                                     stack.bytes - top_offset);
     top_addr &= ~std::uintptr_t{15};
     auto* top = reinterpret_cast<void**>(top_addr);
     top[-1] = reinterpret_cast<void*>(&upcws_fiber_entry_thunk);  // ret addr
@@ -190,9 +234,10 @@ void Fiber::entry() {
   upcws_fiber_switch(&dead_sp, impl_->resumer_sp);
 }
 
-Fiber::Fiber(Fn fn, std::size_t stack_bytes)
+Fiber::Fiber(Fn fn, std::size_t stack_bytes, unsigned color)
     : impl_(std::make_unique<Impl>()), fn_(std::move(fn)) {
   impl_->stack = g_stack_pool.acquire(stack_bytes);
+  impl_->top_offset = color_offset(color);
 }
 
 Fiber::~Fiber() {
@@ -203,50 +248,75 @@ Fiber::~Fiber() {
   g_stack_pool.release(std::move(impl_->stack));
 }
 
-void Fiber::resume() {
-  if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
-  Fiber* prev = g_current_fiber;
+void Fiber::enter() {
   g_current_fiber = this;
   eh_base_ = std::uncaught_exceptions();
   if (!started_) {
     started_ = true;
     impl_->prepare(this);
   }
+}
+
+void Fiber::resume() {
+  if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
+  Fiber* prev = g_current_fiber;
+  enter();
   upcws_fiber_switch(&impl_->resumer_sp, impl_->self_sp);
   g_current_fiber = prev;
 }
 
 void Fiber::yield_current() {
-  Fiber* f = g_current_fiber;
-  if (f == nullptr)
-    throw std::logic_error("Fiber::yield_current outside fiber context");
-  if (f->unwinding_) return;  // mid-cancel: destructors must not suspend
-  f->unwind_depth_ = std::uncaught_exceptions() - f->eh_base_;
+  Fiber& f = running("yield_current");
+  if (f.unwinding_) return;  // mid-cancel: destructors must not suspend
+  f.unwind_depth_ = std::uncaught_exceptions() - f.eh_base_;
   g_current_fiber = nullptr;
-  upcws_fiber_switch(&f->impl_->self_sp, f->impl_->resumer_sp);
-  g_current_fiber = f;
-  if (f->cancel_) {
-    // Throwing here is only safe from a plain yield: if the fiber
-    // suspended mid-unwind of another exception, or inside a shielded
-    // region (a lock release reached from a noexcept destructor), a
-    // second throw terminates the process. Leave the cancel pending; the
-    // next safe yield delivers it.
-    if (f->unwind_depth_ > 0 || f->shield_) return;
-    f->unwinding_ = true;
-    throw Cancelled{};
-  }
+  upcws_fiber_switch(&f.impl_->self_sp, f.impl_->resumer_sp);
+  g_current_fiber = &f;
+  f.on_wake();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Fiber& f = running("switch_to");
+  if (next.finished_ || &next == &f)
+    throw std::logic_error("Fiber::switch_to on finished or running fiber");
+  f.unwind_depth_ = std::uncaught_exceptions() - f.eh_base_;
+  // The resumer's saved %rsp stays valid until someone switches back to
+  // it, which is now next's job.
+  next.impl_->resumer_sp = f.impl_->resumer_sp;
+  next.enter();
+  upcws_fiber_switch(&f.impl_->self_sp, next.impl_->self_sp);
+  g_current_fiber = &f;
+  f.on_wake();
 }
 
 #else  // !UPCWS_FAST_FIBER — ucontext backend (sanitizers, other arches)
 
 struct Fiber::Impl {
-  ucontext_t self{};     // context of the fiber
-  ucontext_t resumer{};  // context to return to on yield/finish
-  std::vector<std::uint8_t> stack;
+  ucontext_t self{};  // context of the fiber
+  // Context to return to on yield/finish. It lives in the frame of the
+  // resume() call that entered the chain of fibers, and switch_to() hands
+  // the pointer on, so whichever fiber yields last returns there.
+  ucontext_t* resumer = nullptr;
+  Stack stack;
+  std::size_t top_offset = 0;  // stack color, in bytes below the top
 #ifdef UPCWS_ASAN_FIBERS
   void* fiber_fake = nullptr;          // fiber's fake stack while suspended
-  const void* sched_bottom = nullptr;  // resumer's stack, learned on entry
+  const void* sched_bottom = nullptr;  // the resumer's stack
   std::size_t sched_size = 0;
+  // Set by resume(): on wake, the stack switched from is the resumer's and
+  // must be learned. switch_to() hands the resumer's stack over instead.
+  bool learn_sched = false;
+
+  /// First thing on this fiber's stack after any switch into it.
+  void finish_switch() {
+    const void* from_bottom = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(fiber_fake, &from_bottom, &from_size);
+    if (learn_sched) {
+      sched_bottom = from_bottom;
+      sched_size = from_size;
+    }
+  }
 #endif
 #ifdef UPCWS_TSAN_FIBERS
   // TSan keeps per-fiber shadow state (clock, shadow stack); every
@@ -255,7 +325,7 @@ struct Fiber::Impl {
   // phantom races / use-after-free. Switches synchronize (flag 0):
   // cooperative scheduling is a happens-before edge.
   void* tsan_self = nullptr;     // this fiber's TSan state
-  void* tsan_resumer = nullptr;  // the resumer's state, saved on entry
+  void* tsan_resumer = nullptr;  // the resumer's state
 #endif
 };
 
@@ -263,8 +333,7 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
                                      static_cast<std::uintptr_t>(lo));
 #ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(nullptr, &f->impl_->sched_bottom,
-                                  &f->impl_->sched_size);
+  f->impl_->finish_switch();
 #endif
   f->entry();
 }
@@ -288,12 +357,13 @@ void Fiber::entry() {
 #ifdef UPCWS_TSAN_FIBERS
   __tsan_switch_to_fiber(impl_->tsan_resumer, 0);
 #endif
-  swapcontext(&impl_->self, &impl_->resumer);
+  swapcontext(&impl_->self, impl_->resumer);
 }
 
-Fiber::Fiber(Fn fn, std::size_t stack_bytes)
+Fiber::Fiber(Fn fn, std::size_t stack_bytes, unsigned color)
     : impl_(std::make_unique<Impl>()), fn_(std::move(fn)) {
   impl_->stack = g_stack_pool.acquire(stack_bytes);
+  impl_->top_offset = color_offset(color);
 #ifdef UPCWS_TSAN_FIBERS
   impl_->tsan_self = __tsan_create_fiber(0);
 #endif
@@ -308,32 +378,39 @@ Fiber::~Fiber() {
   g_stack_pool.release(std::move(impl_->stack));
 }
 
-void Fiber::resume() {
-  if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
-  Fiber* prev = g_current_fiber;
+void Fiber::enter() {
   g_current_fiber = this;
   eh_base_ = std::uncaught_exceptions();
   if (!started_) {
     started_ = true;
     getcontext(&impl_->self);
-    impl_->self.uc_stack.ss_sp = impl_->stack.data();
-    impl_->self.uc_stack.ss_size = impl_->stack.size();
+    impl_->self.uc_stack.ss_sp = impl_->stack.mem.get();
+    impl_->self.uc_stack.ss_size = impl_->stack.bytes - impl_->top_offset;
     impl_->self.uc_link = nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(this);
     makecontext(&impl_->self, reinterpret_cast<void (*)()>(&Fiber::trampoline),
                 2, static_cast<unsigned>(p >> 32),
                 static_cast<unsigned>(p & 0xFFFFFFFFu));
   }
+}
+
+void Fiber::resume() {
+  if (finished_) throw std::logic_error("Fiber::resume on finished fiber");
+  Fiber* prev = g_current_fiber;
+  ucontext_t here;
+  impl_->resumer = &here;
+  enter();
 #ifdef UPCWS_ASAN_FIBERS
   void* sched_fake = nullptr;
-  __sanitizer_start_switch_fiber(&sched_fake, impl_->stack.data(),
-                                 impl_->stack.size());
+  impl_->learn_sched = true;
+  __sanitizer_start_switch_fiber(&sched_fake, impl_->stack.mem.get(),
+                                 impl_->stack.bytes);
 #endif
 #ifdef UPCWS_TSAN_FIBERS
   impl_->tsan_resumer = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(impl_->tsan_self, 0);
 #endif
-  swapcontext(&impl_->resumer, &impl_->self);
+  swapcontext(&here, &impl_->self);
 #ifdef UPCWS_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(sched_fake, nullptr, nullptr);
 #endif
@@ -341,33 +418,50 @@ void Fiber::resume() {
 }
 
 void Fiber::yield_current() {
-  Fiber* f = g_current_fiber;
-  if (f == nullptr)
-    throw std::logic_error("Fiber::yield_current outside fiber context");
-  if (f->unwinding_) return;  // mid-cancel: destructors must not suspend
-  f->unwind_depth_ = std::uncaught_exceptions() - f->eh_base_;
+  Fiber& f = running("yield_current");
+  if (f.unwinding_) return;  // mid-cancel: destructors must not suspend
+  f.unwind_depth_ = std::uncaught_exceptions() - f.eh_base_;
   g_current_fiber = nullptr;
 #ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_start_switch_fiber(&f->impl_->fiber_fake, f->impl_->sched_bottom,
-                                 f->impl_->sched_size);
+  __sanitizer_start_switch_fiber(&f.impl_->fiber_fake, f.impl_->sched_bottom,
+                                 f.impl_->sched_size);
 #endif
 #ifdef UPCWS_TSAN_FIBERS
-  __tsan_switch_to_fiber(f->impl_->tsan_resumer, 0);
+  __tsan_switch_to_fiber(f.impl_->tsan_resumer, 0);
 #endif
-  swapcontext(&f->impl_->self, &f->impl_->resumer);
+  swapcontext(&f.impl_->self, f.impl_->resumer);
 #ifdef UPCWS_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(f->impl_->fiber_fake, &f->impl_->sched_bottom,
-                                  &f->impl_->sched_size);
+  f.impl_->finish_switch();
 #endif
-  g_current_fiber = f;
-  if (f->cancel_) {
-    // See the fast backend: a suspend mid-unwind or inside a shielded
-    // region must not grow a second in-flight exception. Defer to the
-    // next safe yield.
-    if (f->unwind_depth_ > 0 || f->shield_) return;
-    f->unwinding_ = true;
-    throw Cancelled{};
-  }
+  g_current_fiber = &f;
+  f.on_wake();
+}
+
+void Fiber::switch_to(Fiber& next) {
+  Fiber& f = running("switch_to");
+  if (next.finished_ || &next == &f)
+    throw std::logic_error("Fiber::switch_to on finished or running fiber");
+  f.unwind_depth_ = std::uncaught_exceptions() - f.eh_base_;
+  next.impl_->resumer = f.impl_->resumer;
+  next.enter();
+#ifdef UPCWS_ASAN_FIBERS
+  next.impl_->sched_bottom = f.impl_->sched_bottom;
+  next.impl_->sched_size = f.impl_->sched_size;
+  next.impl_->learn_sched = false;
+  __sanitizer_start_switch_fiber(&f.impl_->fiber_fake,
+                                 next.impl_->stack.mem.get(),
+                                 next.impl_->stack.bytes);
+#endif
+#ifdef UPCWS_TSAN_FIBERS
+  next.impl_->tsan_resumer = f.impl_->tsan_resumer;
+  __tsan_switch_to_fiber(next.impl_->tsan_self, 0);
+#endif
+  swapcontext(&f.impl_->self, &next.impl_->self);
+#ifdef UPCWS_ASAN_FIBERS
+  f.impl_->finish_switch();
+#endif
+  g_current_fiber = &f;
+  f.on_wake();
 }
 
 #endif  // UPCWS_FAST_FIBER

@@ -29,8 +29,13 @@ class Fiber {
 
   /// Create a fiber that will run `fn` when first resumed.
   /// `stack_bytes` is the fiber's private call stack; the work-stealing
-  /// algorithms use explicit DFS stacks so the default is ample.
-  explicit Fiber(Fn fn, std::size_t stack_bytes = 256 * 1024);
+  /// algorithms use explicit DFS stacks so the default is ample. Its pages
+  /// are committed only as the fiber touches them. `color` moves the stack
+  /// top down by that many cache lines (modulo one page) so that fibers
+  /// created with distinct colors keep their hot top frames in distinct L1
+  /// sets; the scheduler passes the spawn index.
+  explicit Fiber(Fn fn, std::size_t stack_bytes = 256 * 1024,
+                 unsigned color = 0);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -44,6 +49,14 @@ class Fiber {
   /// Switch from inside the currently running fiber back to its resumer.
   /// Must be called from fiber context.
   static void yield_current();
+
+  /// Switch from inside the currently running fiber straight into `next`
+  /// (unstarted or suspended; not finished, not the caller) without passing
+  /// through the resumer. `next` inherits the caller's resumer: its next
+  /// yield_current(), or its return, lands where the caller's would have.
+  /// Returns when the caller is switched back in, by resume() or by another
+  /// switch_to(), and delivers a pending cancel exactly as yield_current().
+  static void switch_to(Fiber& next);
 
   /// Unwind a suspended fiber: resume it one last time with a cancellation
   /// pending, so its next (historical) yield point rethrows as stack
@@ -84,6 +97,14 @@ class Fiber {
   /// Body of the first activation (both backends): run fn_, mark
   /// finished, switch back to the resumer for good.
   void entry();
+
+  /// Make this fiber the current one just before switching into it:
+  /// publish it, snapshot eh_base_, and build its first frame if unstarted.
+  void enter();
+
+  /// Back on this fiber's stack after a suspend: deliver a pending cancel
+  /// when it is safe to throw.
+  void on_wake();
 
   std::unique_ptr<Impl> impl_;
   Fn fn_;

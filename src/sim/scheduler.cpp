@@ -42,9 +42,10 @@ void Scheduler::unwind_all() {
 }
 
 int Scheduler::spawn(std::function<void()> body) {
-  if (running_) throw std::logic_error("spawn() during run()");
+  if (mode_ != Mode::kIdle) throw std::logic_error("spawn() during run()");
   const int id = static_cast<int>(fibers_.size());
-  fibers_.push_back(std::make_unique<Fiber>(std::move(body), cfg_.stack_bytes));
+  fibers_.push_back(std::make_unique<Fiber>(
+      std::move(body), cfg_.stack_bytes, static_cast<unsigned>(id)));
   clocks_.push_back(0);
   parked_.push_back(false);
   rq_.push(0, id);
@@ -57,23 +58,38 @@ Scheduler& Scheduler::current() {
   return *g_current_scheduler;
 }
 
-bool Scheduler::fast_yield_ok() const {
-  // Only the default min-vt loop may shortcut: a policy must see every
-  // interaction point as a scheduling decision, and outside run() (e.g.
-  // cancel-unwind teardown) Fiber::yield_current owns the semantics.
-  if (!running_ || cfg_.policy != nullptr || current_ < 0) return false;
-  const std::uint64_t vt = clocks_[current_];
+bool Scheduler::direct_yield() {
+  const int self = current_;
+  const std::uint64_t vt = clocks_[self];
   // The run() loop is the only place allowed to throw TimeLimitExceeded /
   // HangDetected (they must come from scheduler context, not from inside a
-  // fiber); take the physical switch whenever either guard could fire.
+  // fiber); leave the queue alone and take the physical switch whenever
+  // either guard would fire on the step: the limit on the caller's clock,
+  // the watchdog on the clock of the task that would run next.
   if (vt > cfg_.vt_limit_ns) return false;
-  if (cfg_.watchdog_ns > 0 && vt > progress_ns_ &&
-      vt - progress_ns_ > cfg_.watchdog_ns)
+  if (watchdog_trips(rq_.empty() ? vt : std::min(vt, rq_.top().vt)))
     return false;
-  // Stepping mode: a fiber may never run inline past the step() bound — the
+  // Exactly the run() loop's step — re-queue the caller, resume the
+  // minimum — counted the same way, since switch counts are part of the
+  // engine's deterministic output. When the caller is still the minimum
+  // there is nothing to switch to.
+  ++switches_;
+  const ReadyQueue::Entry next = rq_.push_pop(vt, self);
+  if (next.task == self) return true;
+  current_ = next.task;
+  Fiber::switch_to(*fibers_[next.task]);
+  // Woken by a direct switch or by run(); whoever it was set current_.
+  return true;
+}
+
+bool Scheduler::fast_yield_ok() const {
+  if (current_ < 0) return false;
+  const std::uint64_t vt = clocks_[current_];
+  // Same guards as direct_yield(): the driver's step() throws, not a fiber.
+  if (vt > cfg_.vt_limit_ns || watchdog_trips(vt)) return false;
+  // A fiber may never run inline past the step() bound — the
   // conservative-window horizon or the next pending external event, whose
-  // application must interleave at its exact (vt, task) key. Inert under
-  // run(): the bound rests at (UINT64_MAX, 0).
+  // application must interleave at its exact (vt, task) key.
   if (vt > bound_vt_ || (vt == bound_vt_ && current_ >= bound_task_))
     return false;
   if (rq_.empty()) return true;  // sole runnable task
@@ -82,11 +98,14 @@ bool Scheduler::fast_yield_ok() const {
 }
 
 void Scheduler::yield() {
-  // Fast path: the yielding task still holds the minimum (vt, id) key, so
-  // the run() loop would immediately resume it. Skip the two context
-  // switches but account the scheduling step exactly as the slow path
-  // would — switch counts are part of the engine's deterministic output.
-  if (fast_yield_ok()) {
+  // run() hands control from fiber to fiber directly. A stepping driver
+  // must regain control after every slice that leaves the fiber, so only
+  // the no-switch case is short-cut there. A policy must see every
+  // interaction point as a scheduling decision, and outside any driver
+  // (cancel-unwind teardown) Fiber::yield_current owns the semantics.
+  if (mode_ == Mode::kRun) {
+    if (direct_yield()) return;
+  } else if (mode_ == Mode::kStepping && fast_yield_ok()) {
     ++switches_;
     return;
   }
@@ -94,42 +113,46 @@ void Scheduler::yield() {
 }
 
 void Scheduler::run() {
-  running_ = true;
   Scheduler* prev = g_current_scheduler;
   g_current_scheduler = this;
   try {
     if (cfg_.policy != nullptr) {
+      mode_ = Mode::kPolicy;
       run_policy();
-      g_current_scheduler = prev;
-      current_ = -1;
-      running_ = false;
-      return;
-    }
-    while (!rq_.empty()) {
-      const ReadyQueue::Entry e = rq_.pop();
-      // The head of the queue holds the global minimum virtual time: if even
-      // the least-advanced task is past the progress window, every task has
-      // spun without real work for watchdog_ns — a hang, not slowness.
-      // Checked before resuming so the stuck state is intact for the report.
-      if (cfg_.watchdog_ns > 0 && e.vt > progress_ns_ &&
-          e.vt - progress_ns_ > cfg_.watchdog_ns)
-        throw_hang(e.vt);
-      current_ = e.task;
-      ++switches_;
-      fibers_[e.task]->resume();
-      if (clocks_[e.task] > cfg_.vt_limit_ns)
-        throw TimeLimitExceeded(e.task, clocks_[e.task], cfg_.vt_limit_ns);
-      if (!fibers_[e.task]->finished()) rq_.push(clocks_[e.task], e.task);
+    } else {
+      mode_ = Mode::kRun;
+      run_loop();
     }
   } catch (...) {
     g_current_scheduler = prev;
     current_ = -1;
-    running_ = false;
+    mode_ = Mode::kIdle;
     throw;
   }
   g_current_scheduler = prev;
   current_ = -1;
-  running_ = false;
+  mode_ = Mode::kIdle;
+}
+
+void Scheduler::run_loop() {
+  while (!rq_.empty()) {
+    const ReadyQueue::Entry e = rq_.pop();
+    // The head of the queue holds the global minimum virtual time: if even
+    // the least-advanced task is past the progress window, every task has
+    // spun without real work for watchdog_ns — a hang, not slowness.
+    // Checked before resuming so the stuck state is intact for the report.
+    if (watchdog_trips(e.vt)) throw_hang(e.vt);
+    current_ = e.task;
+    ++switches_;
+    fibers_[e.task]->resume();
+    // Fibers hand control to each other directly (direct_yield), so the
+    // task that came back — by a physical yield or by finishing — is the
+    // one last switched in, not necessarily the one resumed.
+    const int t = current_;
+    if (clocks_[t] > cfg_.vt_limit_ns)
+      throw TimeLimitExceeded(t, clocks_[t], cfg_.vt_limit_ns);
+    if (!fibers_[t]->finished()) rq_.push(clocks_[t], t);
+  }
 }
 
 void Scheduler::run_policy() {
@@ -146,9 +169,7 @@ void Scheduler::run_policy() {
     // Same watchdog semantics as the default loop: the minimum virtual time
     // is the least-advanced task, so if even it is past the progress window
     // the whole system has spun without real work.
-    if (cfg_.watchdog_ns > 0 && min_vt > progress_ns_ &&
-        min_vt - progress_ns_ > cfg_.watchdog_ns)
-      throw_hang(min_vt);
+    if (watchdog_trips(min_vt)) throw_hang(min_vt);
     cand.clear();
     for (const ReadyQueue::Entry& e : runnable)
       if (cfg_.policy_window_ns == 0 || e.vt - min_vt <= cfg_.policy_window_ns)
@@ -184,17 +205,18 @@ void Scheduler::run_policy() {
 }
 
 void Scheduler::begin_stepping() {
-  if (running_) throw std::logic_error("begin_stepping() during run()");
+  if (mode_ != Mode::kIdle)
+    throw std::logic_error("begin_stepping() during run()");
   if (cfg_.policy != nullptr)
     throw std::logic_error("stepping mode is incompatible with a policy");
-  running_ = true;
+  mode_ = Mode::kStepping;
   g_current_scheduler = this;
 }
 
 void Scheduler::end_stepping() {
   g_current_scheduler = nullptr;
   current_ = -1;
-  running_ = false;
+  mode_ = Mode::kIdle;
   bound_vt_ = UINT64_MAX;
   bound_task_ = 0;
 }

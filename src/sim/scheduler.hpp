@@ -119,8 +119,8 @@ class Scheduler {
   /// visit) at the current task's clock; arms the progress watchdog.
   void note_progress() { progress_ns_ = clocks_[current_]; }
 
-  /// Interaction point: return control to the scheduler. The task resumes
-  /// when it once again holds the minimum virtual time.
+  /// Interaction point: let the task with the minimum virtual time run.
+  /// The caller resumes when it once again holds the minimum.
   void yield();
 
   /// Largest virtual clock over all tasks after run() — the simulated
@@ -186,10 +186,27 @@ class Scheduler {
  private:
   [[noreturn]] void throw_hang(std::uint64_t stuck_at_ns) const;
 
-  /// True when the current task may continue past a yield without a
-  /// physical context switch: it still holds the scheduling minimum and
-  /// neither the vt limit nor the watchdog needs the run() loop to fire.
+  /// True when watchdog_ns has passed since the last progress at `vt`.
+  bool watchdog_trips(std::uint64_t vt) const {
+    return cfg_.watchdog_ns > 0 && vt > progress_ns_ &&
+           vt - progress_ns_ > cfg_.watchdog_ns;
+  }
+
+  /// run() mode yield without a trip through the run() loop: the caller
+  /// goes back into the ready queue and the minimum task runs next, either
+  /// the caller itself (no switch at all) or another fiber, entered by a
+  /// direct fiber-to-fiber switch. Returns false, having changed nothing,
+  /// when the run() loop must act instead (vt limit or watchdog).
+  bool direct_yield();
+
+  /// Stepping mode: true when the current task may continue past a yield
+  /// without a physical context switch: it still holds the scheduling
+  /// minimum below the step() bound and neither the vt limit nor the
+  /// watchdog needs the driver to act.
   bool fast_yield_ok() const;
+
+  /// The default min-vt run loop (Config::policy == nullptr).
+  void run_loop();
 
   /// Policy-driven variant of the run loop (Config::policy != nullptr).
   void run_policy();
@@ -202,8 +219,12 @@ class Scheduler {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<std::uint64_t> clocks_;
   ReadyQueue rq_;
+  // What drives the fibers: nothing, run(), run_policy() or a stepping
+  // driver. yield() takes a different path in each.
+  enum class Mode { kIdle, kRun, kPolicy, kStepping };
+
   int current_ = -1;
-  bool running_ = false;
+  Mode mode_ = Mode::kIdle;
   std::uint64_t switches_ = 0;
   std::uint64_t progress_ns_ = 0;
   std::vector<Decision> decisions_;

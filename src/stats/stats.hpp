@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "stats/histogram.hpp"
@@ -42,6 +43,10 @@ struct Counters {
   std::uint64_t requests_denied = 0;  ///< steal requests this victim refused
   std::uint64_t barrier_entries = 0;  ///< entries into the termination barrier
   int max_depth = 0;                  ///< deepest node seen
+  /// Always 0: names the bytes after max_depth so that Counters has no
+  /// padding. Runs are compared bytewise, and a rank's counters are built
+  /// on its fiber stack, which is not zero-filled.
+  std::int32_t pad0 = 0;
   std::uint64_t max_stack = 0;        ///< peak DFS stack occupancy (nodes)
 
   // --- cooperative deadline cancellation (0 unless cancel_at_ns fired) ----
@@ -80,6 +85,8 @@ struct Counters {
 
   friend bool operator==(const Counters&, const Counters&) = default;
 };
+static_assert(std::has_unique_object_representations_v<Counters>,
+              "Counters must have no padding bytes (see pad0)");
 
 /// Tracks which Figure-1 state a thread is in and accumulates ns per state.
 class StateTimer {

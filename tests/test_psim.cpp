@@ -242,7 +242,8 @@ TEST(Psim, MemoryLeanFourThousandRanks) {
   // Full-scale acceptance: 4096 simulated ranks in one process. Slim fiber
   // stacks (the searches use explicit steal stacks, not call recursion)
   // plus StealStack's on-demand growth keep the footprint to roughly
-  // stack + a few KB per rank — ~740 MB peak RSS measured, not tens of GB.
+  // touched stack + a few KB per rank — ~515 MB peak RSS measured, not
+  // tens of GB.
   // upc-distmem's probe-barrier termination keeps the idle-rank traffic
   // bounded (mpi-ws token polling at this starvation level is ~5x dearer),
   // and the run proves the window protocol at 1024 ranks per shard.

@@ -1,16 +1,15 @@
-// Differential property test for the scheduler's pairing-heap ready queue.
+// Differential property test for the scheduler's 4-ary-heap ready queue.
 //
 // The ReadyQueue replaced std::priority_queue<QEntry> on the engine's hot
 // path; the scheduler's pop order — including the (vt, task-id) tie-break —
 // is part of its deterministic output (switch counts and traces depend on
-// it). This test drives the pairing heap and a priority_queue reference
-// model through identical randomized op sequences and requires identical
-// observable behavior at every step: top/pop order, size, membership, and
-// cancellation results.
+// it). This test drives the heap and a priority_queue reference model
+// through identical randomized op sequences and requires identical
+// observable behavior at every step: top/pop/push_pop order and size.
 #include <cstdint>
-#include <map>
 #include <queue>
 #include <random>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,49 +30,38 @@ struct RefGreater {
   }
 };
 
-/// Reference model: the scheduler's original std::priority_queue, plus lazy
-/// deletion so it can express cancel(). `live` maps task -> current vt; a
-/// heap entry is stale unless it matches `live` exactly.
+/// Reference model: the scheduler's original std::priority_queue, plus the
+/// set of queued tasks (each task has at most one entry).
 class RefQueue {
  public:
-  bool empty() const { return live_.empty(); }
-  std::size_t size() const { return live_.size(); }
-  bool contains(int task) const { return live_.count(task) != 0; }
+  bool empty() const { return pq_.empty(); }
+  std::size_t size() const { return pq_.size(); }
+  bool contains(int task) const { return queued_.count(task) != 0; }
 
   void push(std::uint64_t vt, int task) {
     ASSERT_FALSE(contains(task));
-    live_[task] = vt;
+    queued_.insert(task);
     pq_.push({vt, task});
   }
 
-  RefEntry top() {
-    skim();
-    return pq_.top();
-  }
+  RefEntry top() const { return pq_.top(); }
 
   RefEntry pop() {
-    skim();
     const RefEntry e = pq_.top();
     pq_.pop();
-    live_.erase(e.task);
+    queued_.erase(e.task);
     return e;
   }
 
-  bool cancel(int task) { return live_.erase(task) != 0; }
-
- private:
-  /// Drop stale heads (cancelled, or superseded by a later push).
-  void skim() {
-    while (!pq_.empty()) {
-      const RefEntry e = pq_.top();
-      auto it = live_.find(e.task);
-      if (it != live_.end() && it->second == e.vt) return;
-      pq_.pop();
-    }
+  /// The fused operation spelled out: push, then pop.
+  RefEntry push_pop(std::uint64_t vt, int task) {
+    push(vt, task);
+    return pop();
   }
 
+ private:
   std::priority_queue<RefEntry, std::vector<RefEntry>, RefGreater> pq_;
-  std::map<int, std::uint64_t> live_;
+  std::set<int> queued_;
 };
 
 /// One randomized run: `ops` operations over `ntasks` task ids, comparing
@@ -89,9 +77,6 @@ void differential_run(std::uint64_t seed, int ntasks, int ops,
   for (int step = 0; step < ops; ++step) {
     ASSERT_EQ(rq.empty(), ref.empty()) << "step " << step;
     ASSERT_EQ(rq.size(), ref.size()) << "step " << step;
-    for (int t = 0; t < ntasks; ++t)
-      ASSERT_EQ(rq.contains(t), ref.contains(t))
-          << "step " << step << " task " << t;
     if (!rq.empty()) {
       const ReadyQueue::Entry a = rq.top();
       const RefEntry b = ref.top();
@@ -100,10 +85,10 @@ void differential_run(std::uint64_t seed, int ntasks, int ops,
     }
 
     const int op = static_cast<int>(rng() % 100);
-    if (op < 45 || ref.empty()) {
-      // Push a currently-unqueued task. With favor_ties, draw vt from a
-      // tiny range so many entries collide and the id tie-break is what
-      // actually orders the heap.
+    if (op < 45 || ref.empty() || op >= 80) {
+      // Push (or push_pop) a currently-unqueued task. With favor_ties,
+      // draw vt from a tiny range so many entries collide and the id
+      // tie-break is what actually orders the heap.
       std::vector<int> free;
       for (int t = 0; t < ntasks; ++t)
         if (!ref.contains(t)) free.push_back(t);
@@ -111,19 +96,23 @@ void differential_run(std::uint64_t seed, int ntasks, int ops,
       const int task = free[rng() % free.size()];
       const std::uint64_t vt =
           favor_ties ? rng() % 4 : rng() % (vt_range + 1);
-      rq.push(vt, task);
-      ref.push(vt, task);
-    } else if (op < 80) {
+      if (op < 80) {
+        rq.push(vt, task);
+        ref.push(vt, task);
+        continue;
+      }
+      // The fused op hands back either the pushed key itself (still the
+      // minimum) or the old head.
+      const ReadyQueue::Entry a = rq.push_pop(vt, task);
+      const RefEntry b = ref.push_pop(vt, task);
+      ASSERT_EQ(a.vt, b.vt) << "push_pop diverged at step " << step;
+      ASSERT_EQ(a.task, b.task) << "push_pop diverged at step " << step;
+    } else {
       const ReadyQueue::Entry a = rq.pop();
       const RefEntry b = ref.pop();
       ASSERT_EQ(a.vt, b.vt) << "pop order diverged at step " << step;
       ASSERT_EQ(a.task, b.task) << "pop order diverged at step " << step;
       out_tasks.push_back(a.task);
-    } else {
-      // Cancel a random task — queued or not; both must agree on whether
-      // anything was removed.
-      const int task = static_cast<int>(rng() % ntasks);
-      ASSERT_EQ(rq.cancel(task), ref.cancel(task)) << "step " << step;
     }
   }
 
@@ -155,7 +144,7 @@ TEST(SchedulerOrder, DifferentialTieHeavy) {
 }
 
 TEST(SchedulerOrder, DifferentialSmallAndDegenerate) {
-  // 1-task and 2-task queues: exercises the empty/root/cancel-root edges.
+  // 1-task and 2-task queues: exercises the empty and root-only edges.
   differential_run(7, /*ntasks=*/1, /*ops=*/2'000, /*vt_range=*/10,
                    /*favor_ties=*/false);
   differential_run(8, /*ntasks=*/2, /*ops=*/2'000, /*vt_range=*/2,
@@ -195,22 +184,29 @@ TEST(SchedulerOrder, SchedulerStepPattern) {
   }
 }
 
-TEST(SchedulerOrder, CancelInterior) {
-  // Deterministic cancel coverage: build a heap with known structure, cancel
-  // interior/leaf/root nodes, and verify the surviving pop order.
+TEST(SchedulerOrder, DirectYieldPattern) {
+  // The direct-yield access pattern: the running task re-files itself with
+  // a non-decreasing key and the minimum runs next, in one push_pop. Order
+  // must equal the reference's push-then-pop across 10k steps.
+  std::mt19937_64 rng(43);
   ReadyQueue rq;
-  rq.ensure_tasks(10);
-  for (int t = 0; t < 10; ++t) rq.push(static_cast<std::uint64_t>(t % 3), t);
-  EXPECT_TRUE(rq.cancel(0));   // root (vt 0, lowest id)
-  EXPECT_TRUE(rq.cancel(4));   // interior
-  EXPECT_TRUE(rq.cancel(9));   // last-pushed
-  EXPECT_FALSE(rq.cancel(4));  // already gone
-  EXPECT_FALSE(rq.cancel(0));
-  std::vector<int> order;
-  while (!rq.empty()) order.push_back(rq.pop().task);
-  // Survivors sorted by (vt = t%3, t): vt0 -> {3, 6}, vt1 -> {1, 7}, vt2 ->
-  // {2, 5, 8}.
-  EXPECT_EQ(order, (std::vector<int>{3, 6, 1, 7, 2, 5, 8}));
+  RefQueue ref;
+  const int kTasks = 16;
+  rq.ensure_tasks(kTasks);
+  for (int t = 1; t < kTasks; ++t) {
+    rq.push(0, t);
+    ref.push(0, t);
+  }
+  ReadyQueue::Entry cur{0, 0};  // task 0 runs first
+  for (int step = 0; step < 10'000; ++step) {
+    const std::uint64_t nvt = cur.vt + rng() % 1000;  // often 0 (tie)
+    const ReadyQueue::Entry a = rq.push_pop(nvt, cur.task);
+    const RefEntry b = ref.push_pop(nvt, cur.task);
+    ASSERT_EQ(a.vt, b.vt) << "step " << step;
+    ASSERT_EQ(a.task, b.task) << "step " << step;
+    ASSERT_EQ(rq.size(), ref.size()) << "step " << step;
+    cur = a;
+  }
 }
 
 }  // namespace

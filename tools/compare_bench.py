@@ -78,6 +78,12 @@ def validate(doc, path):
         notes = r.get("notes", {})
         if not isinstance(notes, dict):
             errors.append(f"{name}: 'notes' must be an object")
+            continue
+        # A row that ran psim windows ran on the parallel lane, whatever
+        # its config predicted.
+        if notes.get("lane") == "serial" and metrics.get("windows", 0) > 0:
+            errors.append(f"{name}: lane 'serial' but {metrics['windows']} "
+                          "psim windows ran")
     for e in errors:
         print(f"compare_bench: {path}: {e}", file=sys.stderr)
     return not errors
@@ -210,6 +216,14 @@ def self_test():
     nan = _canned(100.0)
     nan["results"][0]["metrics"]["nodes"] = "many"
     cases.append(("non-numeric metric rejected", not quiet_validate(nan)))
+    mislabel = _canned(100.0)
+    mislabel["results"][0]["metrics"]["windows"] = 7600
+    mislabel["results"][0]["notes"] = {"lane": "serial"}
+    cases.append(("serial lane with windows rejected",
+                  not quiet_validate(mislabel)))
+    mislabel["results"][0]["notes"] = {"lane": "parallel"}
+    cases.append(("parallel lane with windows passes",
+                  quiet_validate(mislabel)))
 
     cases.append(("direction: throughput is better-higher",
                   direction("nodes_per_sec") == +1))
