@@ -61,8 +61,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> head{"policy"};
-  for (int b = 0; b < buckets; ++b)
-    head.push_back("t" + std::to_string((b + 1) * 100 / buckets) + "%");
+  for (int b = 0; b < buckets; ++b) {
+    std::string col = "t";
+    col += std::to_string((b + 1) * 100 / buckets);
+    col += '%';
+    head.push_back(col);
+  }
   stats::Table t(head);
   for (auto& r : rows) {
     const auto series =

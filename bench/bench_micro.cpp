@@ -10,6 +10,7 @@
 
 #include "mp/comm.hpp"
 #include "pgas/sim_engine.hpp"
+#include "sha1/kernels.hpp"
 #include "sha1/sha1.hpp"
 #include "sim/fiber.hpp"
 #include "sim/scheduler.hpp"
@@ -30,6 +31,27 @@ static void BM_Sha1(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha1)->Arg(24)->Arg(64)->Arg(1024);
+
+// One compression per iteration through a given kernel, each folding into
+// the previous state (a dependent chain, as one UTS path down the tree is).
+static void BM_Sha1Compress(benchmark::State& state,
+                            sha1::detail::Kernel kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("CPU lacks SHA-NI (or not an x86 build)");
+    return;
+  }
+  sha1::detail::State st = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                            0x10325476u, 0xC3D2E1F0u};
+  std::uint8_t block[64] = {};
+  block[24] = 0x80;
+  block[63] = 192;
+  for (auto _ : state) {
+    kernel(st, block);
+    benchmark::DoNotOptimize(st);
+  }
+}
+BENCHMARK_CAPTURE(BM_Sha1Compress, portable, &sha1::detail::compress_portable);
+BENCHMARK_CAPTURE(BM_Sha1Compress, sha-ni, sha1::detail::sha_ni_kernel());
 
 static void BM_UtsChildGen(benchmark::State& state) {
   const uts::Params p = uts::test_small();

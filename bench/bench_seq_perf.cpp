@@ -5,11 +5,13 @@
 // the speed at which the processor can calculate SHA-1 hash evaluations".
 // This bench measures (a) raw SHA-1 throughput, (b) the real sequential UTS
 // rate on this machine, and (c) the virtual-time rate the simulator's cost
-// model is calibrated to.
+// model is calibrated to. Every result notes which SHA-1 compression kernel
+// ran (`sha1_kernel`: sha-ni or portable, chosen from CPUID).
 #include <cstdio>
 #include <iostream>
 
 #include "common.hpp"
+#include "sha1/kernels.hpp"
 #include "sha1/sha1.hpp"
 #include "stats/table.hpp"
 #include "uts/sequential.hpp"
@@ -42,13 +44,14 @@ int main(int argc, char** argv) {
   const uts::Params tree = mode == Mode::kQuick ? uts::scaled_bench(5)
                            : mode == Mode::kFull ? uts::scaled_large(1)
                                                  : uts::scaled_bench(0);
+  const std::string kernel = sha1::detail::selected_kernel_name();
 
   benchutil::print_banner(
       "bench_seq_perf -- sequential UTS rate (paper Sect. 4.1)",
       "Topsail E5345: 2.10 M nodes/s; Kitty Hawk E5150: 2.39 M nodes/s; "
       "SGI Altix Itanium2: 1.12 M nodes/s",
       std::string("mode=") + benchutil::mode_name(mode) +
-          " tree=" + tree.describe());
+          " tree=" + tree.describe() + " sha1_kernel=" + kernel);
 
   benchutil::BenchReporter rep("bench_seq_perf", mode);
 
@@ -60,7 +63,8 @@ int main(int argc, char** argv) {
                  stats::Table::fmt(mbps * 1e6 / block, 0)});
     rep.result("sha1_block" + std::to_string(block))
         .metric("mb_per_sec", mbps)
-        .metric("hashes_per_sec", mbps * 1e6 / static_cast<double>(block));
+        .metric("hashes_per_sec", mbps * 1e6 / static_cast<double>(block))
+        .note("sha1_kernel", kernel);
   }
   std::printf("\nSHA-1 throughput (this machine):\n");
   sha.print(std::cout);
@@ -91,7 +95,8 @@ int main(int argc, char** argv) {
       .metric("nodes", static_cast<double>(r->nodes))
       .metric("wall_s", r->seconds)
       .metric("nodes_per_sec", r->nodes_per_sec())
-      .note("tree", tree.describe());
+      .note("tree", tree.describe())
+      .note("sha1_kernel", kernel);
   if (!rep.write_json_file("BENCH_seq.json"))
     std::fprintf(stderr, "warning: could not write BENCH_seq.json\n");
   std::printf("\nwrote BENCH_seq.json\n");

@@ -72,6 +72,7 @@
 #include "check/checker.hpp"
 #include "check/replay.hpp"
 #include "check/strategies.hpp"
+#include "cli_args.hpp"
 #include "obs/observer.hpp"
 #include "pgas/thread_engine.hpp"
 #include "psim/engine.hpp"
@@ -87,18 +88,6 @@ namespace {
   std::fprintf(stderr, "chaos_soak: %s (see header comment for flags)\n",
                msg.c_str());
   std::exit(2);
-}
-
-/// Strict nonnegative integer: rejects "-5" (which atoll/atoi would wrap
-/// or accept silently) and trailing junk.
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
 }
 
 /// "RANK@NS[,RANK@NS...]" for the forced-fault flags, through the shared
@@ -338,17 +327,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--campaigns")
-      campaigns = static_cast<int>(parse_u64(next(), "--campaigns"));
+      campaigns = cli::parse_int(next(), "--campaigns", usage);
     else if (a == "--seed")
-      seed = parse_u64(next(), "--seed");
+      seed = cli::parse_u64(next(), "--seed", usage);
     else if (a == "--threads-every")
-      threads_every = static_cast<int>(parse_u64(next(), "--threads-every"));
+      threads_every = cli::parse_int(next(), "--threads-every", usage);
     else if (a == "--workers") {
-      workers = static_cast<int>(parse_u64(next(), "--workers"));
+      workers = cli::parse_int(next(), "--workers", usage);
       workers_set = true;
     }
     else if (a == "--nranks") {
-      pin_nranks = static_cast<int>(parse_u64(next(), "--nranks"));
+      pin_nranks = cli::parse_int(next(), "--nranks", usage);
       nranks_set = true;
     }
     else if (a == "--algo") {
@@ -364,7 +353,7 @@ int main(int argc, char** argv) {
     else if (a == "--quantile")
       quantile = std::atof(next());
     else if (a == "--lifeline-dim")
-      lifeline_dim = static_cast<int>(parse_u64(next(), "--lifeline-dim"));
+      lifeline_dim = cli::parse_int(next(), "--lifeline-dim", usage);
     else if (a == "--crash") {
       for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
         forced_crashes.push_back({ra.rank, ra.at_ns});

@@ -7,8 +7,8 @@
 // Examples:
 //   ./schedule_check                                   # defaults, random walk
 //   ./schedule_check -A upc-sharedmem --strategy pct --budget 100
-//   ./schedule_check --crash 0@120000 --strategy random --budget 60 \
-//       --emit-replay bug.replay
+//   ./schedule_check --crash 0@120000 --strategy random --budget 60
+//                    --emit-replay bug.replay          # (one command)
 //   ./schedule_check --replay bug.replay
 //   ./schedule_check --budget-smoke                    # CI self-test
 //
@@ -56,6 +56,7 @@
 
 #include "check/checker.hpp"
 #include "check/replay.hpp"
+#include "cli_args.hpp"
 #include "trace/trace.hpp"
 
 using namespace upcws;
@@ -265,31 +266,32 @@ int main(int argc, char** argv) {
     if (a == "-A")
       spec.algo = check::algo_from_label(next());
     else if (a == "-n")
-      spec.nranks = std::atoi(next());
+      spec.nranks = cli::parse_int(next(), "-n", usage, 1);
     else if (a == "-c")
-      spec.chunk = std::atoi(next());
+      spec.chunk = cli::parse_int(next(), "-c", usage, 1);
     else if (a == "--net")
       spec.net = next();
     else if (a == "--preset")
       preset = next();
     else if (a == "-r")
-      root_seed = static_cast<std::uint32_t>(std::atoi(next()));
+      root_seed = static_cast<std::uint32_t>(
+          cli::parse_u64(next(), "-r", usage, 0, UINT32_MAX));
     else if (a == "-S")
-      spec.run_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      spec.run_seed = cli::parse_u64(next(), "-S", usage);
     else if (a == "--strategy")
       cc.strategy = strategy_from(next());
     else if (a == "--budget")
-      cc.budget = std::atoi(next());
+      cc.budget = cli::parse_int(next(), "--budget", usage, 1);
     else if (a == "--seed")
-      cc.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cc.seed = cli::parse_u64(next(), "--seed", usage);
     else if (a == "--pct-depth")
-      cc.pct_depth = std::atoi(next());
+      cc.pct_depth = cli::parse_int(next(), "--pct-depth", usage);
     else if (a == "--dfs-depth")
-      cc.dfs_depth = static_cast<std::size_t>(std::atoll(next()));
+      cc.dfs_depth = cli::parse_u64(next(), "--dfs-depth", usage);
     else if (a == "--window")
-      cc.window_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      cc.window_ns = cli::parse_u64(next(), "--window", usage);
     else if (a == "--steal-timeout")
-      spec.steal_timeout_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      spec.steal_timeout_ns = cli::parse_u64(next(), "--steal-timeout", usage);
     else if (a == "--watchdog-ms")
       spec.watchdog_ns = static_cast<std::uint64_t>(std::atof(next()) * 1e6);
     else if (a == "--crash") {
@@ -300,7 +302,7 @@ int main(int argc, char** argv) {
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
     else if (a == "--crash-detect")
-      spec.crash_detect_ns = static_cast<std::uint64_t>(std::atoll(next()));
+      spec.crash_detect_ns = cli::parse_u64(next(), "--crash-detect", usage);
     else if (a == "--seed-bug") {
       const std::string b = next();
       if (b == "claim-cas")
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
     else if (a == "--quantile")
       spec.quantile = std::atof(next());
     else if (a == "--lifeline-dim")
-      spec.lifeline_dim = std::atoi(next());
+      spec.lifeline_dim = cli::parse_int(next(), "--lifeline-dim", usage);
     else if (a == "--no-shrink")
       cc.shrink = false;
     else if (a == "--emit-replay")

@@ -61,6 +61,7 @@
 
 #include "check/checker.hpp"
 #include "check/job_oracle.hpp"
+#include "cli_args.hpp"
 #include "obs/autopsy.hpp"
 #include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
@@ -75,16 +76,6 @@ namespace {
   std::fprintf(stderr, "service_soak: %s (see header comment for flags)\n",
                msg.c_str());
   std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage(std::string(flag) + " wants a nonnegative integer");
-  return static_cast<std::uint64_t>(v);
 }
 
 /// Exact nearest-rank percentile of a sorted vector.
@@ -205,7 +196,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--jobs")
-      total_jobs = static_cast<int>(parse_u64(next(), "--jobs"));
+      total_jobs = cli::parse_int(next(), "--jobs", usage);
     else if (a == "--algo") {
       try {
         pin_algo = check::algo_from_label(next());
@@ -215,7 +206,7 @@ int main(int argc, char** argv) {
       algo_set = true;
     }
     else if (a == "--seed")
-      seed = parse_u64(next(), "--seed");
+      seed = cli::parse_u64(next(), "--seed", usage);
     else if (a == "--json")
       json_path = next();
     else if (a == "--report")

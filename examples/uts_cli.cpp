@@ -112,6 +112,7 @@
 #include <memory>
 
 #include "check/replay.hpp"
+#include "cli_args.hpp"
 #include "obs/autopsy.hpp"
 #include "obs/observer.hpp"
 #include "pgas/faults.hpp"
@@ -129,8 +130,9 @@ using namespace upcws;
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "uts_cli: %s (see header comment for flags)\n", msg);
+[[noreturn]] void usage(const std::string& msg) {
+  std::fprintf(stderr, "uts_cli: %s (see header comment for flags)\n",
+               msg.c_str());
   std::exit(2);
 }
 
@@ -138,18 +140,6 @@ ws::Algo parse_algo(const std::string& s) {
   for (ws::Algo a : ws::kAllAlgosExtended)
     if (s == ws::algo_label(a)) return a;
   usage("unknown algorithm label");
-}
-
-/// Strict nonnegative integer: rejects "-5" (which atoll would silently
-/// wrap to a huge unsigned) and trailing junk.
-std::uint64_t parse_u64(const char* s, const char* flag) {
-  if (s == nullptr || *s == '\0' || *s == '-')
-    usage((std::string(flag) + " wants a nonnegative integer").c_str());
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0')
-    usage((std::string(flag) + " wants a nonnegative integer").c_str());
-  return static_cast<std::uint64_t>(v);
 }
 
 /// "RANK@NS[,RANK@NS...]" through the shared fault-plan codec; a malformed
@@ -280,7 +270,7 @@ int main(int argc, char** argv) {
     else if (a == "--net")
       net_name = next();
     else if (a == "-S")
-      run_seed = parse_u64(next(), "-S");
+      run_seed = cli::parse_u64(next(), "-S", usage);
     else if (a == "-v")
       verbose = true;
     else if (a == "--trace")
@@ -288,7 +278,7 @@ int main(int argc, char** argv) {
     else if (a == "--trace-csv")
       trace_csv = next();
     else if (a == "--trace-cap")
-      trace_cap = static_cast<std::size_t>(parse_u64(next(), "--trace-cap"));
+      trace_cap = cli::parse_u64(next(), "--trace-cap", usage);
     else if (a == "--metrics")
       metrics_path = next();
     else if (a == "--report")
@@ -300,7 +290,7 @@ int main(int argc, char** argv) {
     else if (a == "--psim-window-metrics")
       psim_window_metrics = true;
     else if (a == "--obs-sample")
-      obs_sample_ns = parse_u64(next(), "--obs-sample");
+      obs_sample_ns = cli::parse_u64(next(), "--obs-sample", usage);
     else if (a == "--csv")
       csv = true;
     else if (a == "--replay")
@@ -312,13 +302,13 @@ int main(int argc, char** argv) {
     else if (a == "--dup-prob")
       faults.dup_prob = std::atof(next());
     else if (a == "--steal-timeout") {
-      steal_timeout_ns = parse_u64(next(), "--steal-timeout");
+      steal_timeout_ns = cli::parse_u64(next(), "--steal-timeout", usage);
       steal_timeout_set = true;
     }
     else if (a == "--watchdog-ms")
       watchdog_ms = std::atof(next());
     else if (a == "--deadline-ns" || a == "--deadline")
-      deadline_ns = parse_u64(next(), "--deadline-ns");
+      deadline_ns = cli::parse_u64(next(), "--deadline-ns", usage);
     else if (a == "--crash") {
       for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
         faults.crashes.push_back({ra.rank, ra.at_ns});
@@ -327,7 +317,7 @@ int main(int argc, char** argv) {
     else if (a == "--crash-mid-steal")
       crash_where = pgas::CrashSpec::Where::kMidSteal;
     else if (a == "--crash-detect")
-      faults.crash_detect_ns = parse_u64(next(), "--crash-detect");
+      faults.crash_detect_ns = cli::parse_u64(next(), "--crash-detect", usage);
     else if (a == "--drain") {
       for (const pgas::RankAt& ra : rank_at_list(next(), "--drain"))
         faults.drains.push_back({ra.rank, ra.at_ns});

@@ -8,7 +8,10 @@
 //
 // The implementation is self-contained (no OpenSSL), supports incremental
 // hashing, and is verified against the RFC 3174 / FIPS 180-1 test vectors in
-// tests/test_sha1.cpp.
+// tests/test_sha1.cpp. Blocks are compressed by the x86 SHA-extensions
+// kernel when the CPU has it and by the portable kernel otherwise; the
+// choice is made once from CPUID and both give bit-identical digests
+// (sha1/kernels.hpp).
 #pragma once
 
 #include <array>

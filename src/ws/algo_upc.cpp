@@ -321,7 +321,7 @@ class UpcWorker final : public NodeSink {
         board_->publish(me_, req, me_, req, my_.slot(begin),
                         static_cast<std::uint32_t>(take));
       publish_avail();
-      auto& box = g_.slots[me_].outbox[req];
+      auto& box = g_.slots[req].grant;
       box.resize(take * nb_);
       std::memcpy(box.data(), my_.slot(begin), take * nb_);
       ctx_.charge(ctx_.net().local_ref_ns);  // local staging copy
@@ -438,8 +438,7 @@ class UpcWorker final : public NodeSink {
       if (a > 0) {
         const std::size_t take = static_cast<std::size_t>(a);
         xfer_.resize(take * nb_);
-        ctx_.bulk_get(xfer_.data(), g_.slots[v].outbox[me_].data(), take * nb_,
-                      v);
+        ctx_.bulk_get(xfer_.data(), mine.grant.data(), take * nb_, v);
         rec_.span(SpanPhase::kTransfer, static_cast<std::int64_t>(take));
         const bool landed =
             absorb(take, crash_mode_ ? &board_->rec(v, me_) : nullptr);

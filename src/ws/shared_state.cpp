@@ -7,10 +7,7 @@ SharedState::SharedState(int nranks_, std::size_t node_bytes_)
       node_bytes(node_bytes_),
       stacks(nranks_),
       slots(nranks_) {
-  for (int r = 0; r < nranks; ++r) {
-    stacks[r].init(node_bytes, r);
-    slots[r].outbox.resize(nranks);
-  }
+  for (int r = 0; r < nranks; ++r) stacks[r].init(node_bytes, r);
   cb_lock.owner = 0;
 }
 

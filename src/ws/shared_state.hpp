@@ -72,11 +72,11 @@ struct alignas(64) RankSlots {
   /// polls and clears locally.
   std::atomic<std::uint64_t> distress{0};
 
-  /// Outboxes: outbox[thief] is filled by this rank (as victim) and then
-  /// read by `thief` with a one-sided get. A thief never issues a new
-  /// request before consuming its previous grant, so one buffer per thief
-  /// suffices.
-  std::vector<std::vector<std::byte>> outbox;
+  /// This rank's *own* incoming grant: its victim copies the granted run
+  /// here and the thief reads it with a one-sided get charged to that
+  /// victim. A thief never issues a new request before consuming its
+  /// previous grant, so one buffer per thief suffices.
+  std::vector<std::byte> grant;
 };
 
 struct SharedState {

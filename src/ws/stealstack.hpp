@@ -20,7 +20,7 @@
 //     in-flight counter keeps the owner from compacting — or reclaiming
 //     retired blocks — while a transfer is still reading them.
 //   * lock-less family (§3.3.3): only the owner ever touches the stack;
-//     thieves receive work through per-thief outboxes, so no locking at all.
+//     thieves receive work through per-thief grant buffers, so no locking.
 //
 // The work_avail word is the remotely probed load indicator; its encoding
 // (paper §3.3.1: -1 "no work at all" vs 0 "working, no surplus" vs n>0

@@ -168,7 +168,9 @@ TEST(CheckTrail, RecordsOnlyRealDecisionsInOrder) {
     const sim::Decision& d = o.trail[i];
     EXPECT_GE(d.n_candidates, 2u);         // forced moves are not decisions
     EXPECT_LT(d.choice, d.n_candidates);   // choice indexes the candidates
-    if (i > 0) EXPECT_GT(d.step, prev_step);
+    if (i > 0) {
+      EXPECT_GT(d.step, prev_step);
+    }
     prev_step = d.step;
   }
   EXPECT_EQ(o.choices.size(), o.trail.size());

@@ -242,7 +242,7 @@ TEST(Psim, MemoryLeanFourThousandRanks) {
   // Full-scale acceptance: 4096 simulated ranks in one process. Slim fiber
   // stacks (the searches use explicit steal stacks, not call recursion)
   // plus StealStack's on-demand growth keep the footprint to roughly
-  // touched stack + a few KB per rank — ~515 MB peak RSS measured, not
+  // touched stack + a few KB per rank — ~130 MB peak RSS measured, not
   // tens of GB.
   // upc-distmem's probe-barrier termination keeps the idle-rank traffic
   // bounded (mpi-ws token polling at this starvation level is ~5x dearer),

@@ -1,5 +1,6 @@
 // SHA-1 correctness against RFC 3174 / FIPS 180-1 vectors, plus incremental
-// hashing and boundary-condition behaviour.
+// hashing and boundary-condition behaviour, and a differential test of the
+// SHA-NI compression kernel against the portable one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "sha1/kernels.hpp"
 #include "sha1/sha1.hpp"
 
 namespace {
+
+namespace kern = upcws::sha1::detail;
 
 using upcws::sha1::Digest;
 using upcws::sha1::Hasher;
@@ -153,6 +157,120 @@ TEST(Sha1, HexFormatting) {
   ASSERT_EQ(hex.size(), 40u);
   EXPECT_EQ(hex.substr(0, 4), "00ff");
   EXPECT_EQ(hex.substr(38, 2), "0a");
+}
+
+// ---- compression kernels -------------------------------------------------
+
+/// SHA-1 of `msg` with every block folded by `kernel`: the FIPS padding
+/// done by hand, so a kernel is checked without going through Hasher.
+Digest digest_with(kern::Kernel kernel, const std::string& msg) {
+  std::vector<std::uint8_t> m(msg.begin(), msg.end());
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0);
+  for (int i = 0; i < 8; ++i)
+    m.push_back(static_cast<std::uint8_t>(bits >> (56 - 8 * i)));
+  kern::State st = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                    0xC3D2E1F0u};
+  for (std::size_t off = 0; off < m.size(); off += 64) kernel(st, &m[off]);
+  Digest d;
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 4; ++j)
+      d[4 * i + j] = static_cast<std::uint8_t>(st[i] >> (24 - 8 * j));
+  return d;
+}
+
+struct Vector {
+  std::string msg;
+  const char* hex;
+};
+
+/// RFC 3174 / FIPS 180 vectors, single- and multi-block.
+std::vector<Vector> rfc_vectors() {
+  std::string repeated;
+  for (int i = 0; i < 80; ++i) repeated += "01234567";
+  return {
+      {"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijkl"
+       "mnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "a49b2446a02c645bf419f995b67091253a04a259"},
+      {repeated, "dea356a2cddd90c7a7ecedc5ebb563934f460452"},
+      {std::string(1000000, 'a'), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
+  };
+}
+
+TEST(Sha1, PortableKernelMatchesRfcVectors) {
+  // The portable kernel is the reference for the accelerated one, so it is
+  // pinned directly, not through Hasher (which may run SHA-NI).
+  for (const Vector& v : rfc_vectors())
+    EXPECT_EQ(to_hex(digest_with(&kern::compress_portable, v.msg)), v.hex)
+        << "len " << v.msg.size();
+}
+
+TEST(Sha1, SelectedKernelIsShaNiWhenAvailable) {
+  const bool accel = kern::sha_ni_kernel() != nullptr;
+  EXPECT_EQ(kern::selected_kernel(),
+            accel ? kern::sha_ni_kernel() : &kern::compress_portable);
+  EXPECT_STREQ(kern::selected_kernel_name(), accel ? "sha-ni" : "portable");
+}
+
+TEST(Sha1, AcceleratedMatchesPortable) {
+  const kern::Kernel accel = kern::sha_ni_kernel();
+  if (accel == nullptr)
+    GTEST_SKIP() << "no SHA-NI kernel: not an x86 build, or the CPU lacks "
+                    "SHA/SSSE3/SSE4.1; the portable kernel is the only one";
+
+  auto expect_same = [&](const kern::State& start, const std::uint8_t* block,
+                         const char* what, int i) {
+    kern::State ref = start, got = start;
+    kern::compress_portable(ref, block);
+    accel(got, block);
+    ASSERT_EQ(got, ref) << what << " " << i;
+  };
+
+  // Seeded random blocks from random chaining values.
+  std::mt19937_64 rng(14);
+  std::uint8_t block[64];
+  for (int i = 0; i < 100000; ++i) {
+    kern::State st;
+    for (auto& w : st) w = static_cast<std::uint32_t>(rng());
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng());
+    expect_same(st, block, "random block", i);
+  }
+
+  // Extreme blocks and chaining values.
+  for (std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    std::memset(block, fill, sizeof block);
+    kern::State st;
+    st.fill(fill == 0 ? 0u : 0xFFFFFFFFu);
+    expect_same(st, block, "uniform block", fill);
+    expect_same(kern::State{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                            0x10325476u, 0xC3D2E1F0u},
+                block, "uniform block from IV", fill);
+  }
+
+  // The UTS spawn block: 20 parent-state bytes, 4 big-endian index bytes,
+  // 0x80, zeros, bit length 192.
+  std::uint8_t spawn[64] = {};
+  spawn[24] = 0x80;
+  spawn[63] = 192;
+  for (int i = 0; i < 1000; ++i) {
+    for (int j = 0; j < 24; ++j) spawn[j] = static_cast<std::uint8_t>(rng());
+    expect_same(kern::State{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                            0x10325476u, 0xC3D2E1F0u},
+                spawn, "spawn block", i);
+  }
+
+  // Multi-block messages, both straight through the kernel and through
+  // Hasher (which runs the selected kernel).
+  for (const Vector& v : rfc_vectors()) {
+    EXPECT_EQ(to_hex(digest_with(accel, v.msg)), v.hex)
+        << "len " << v.msg.size();
+    EXPECT_EQ(to_hex(hash(v.msg)), v.hex) << "len " << v.msg.size();
+  }
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // StealStack unit tests: region bookkeeping, LIFO local semantics, chunk
 // moves, thief reservations, compaction safety, and a randomized model
-// check against a reference implementation.
+// check against a reference implementation. Also the resident footprint of
+// the SharedState that holds one StealStack per rank.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <deque>
+#include <fstream>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "ws/shared_state.hpp"
 #include "ws/stealstack.hpp"
 
 namespace {
@@ -200,6 +205,28 @@ TEST_F(StealStackTest, RandomizedModelCheck) {
     ASSERT_EQ(s.shared_size(), shared.size());
     if (step % 1000 == 0) s.maybe_compact();
   }
+}
+
+/// Resident set size in KiB from /proc/self/status, or -1 where there is
+/// no such file.
+long vm_rss_kib() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
+}
+
+TEST(SharedState, FootprintIsLinearInRanks) {
+  // One grant buffer per thief, not one per (victim, thief) pair: building
+  // the shared state for 4096 ranks must not commit P^2 buffer headers
+  // (4096^2 empty vectors would be 384 MiB).
+  const long before = vm_rss_kib();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status on this platform";
+  auto g = std::make_unique<upcws::ws::SharedState>(4096, 24);
+  const long grown_kib = vm_rss_kib() - before;
+  EXPECT_EQ(g->slots.size(), 4096u);
+  EXPECT_LT(grown_kib, 64 * 1024) << "SharedState(4096) grew RSS by "
+                                  << grown_kib / 1024 << " MiB";
 }
 
 }  // namespace
