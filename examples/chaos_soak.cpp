@@ -349,9 +349,9 @@ int main(int argc, char** argv) {
       algo_set = true;
     }
     else if (a == "--sample-frac")
-      sample_frac = std::atof(next());
+      sample_frac = cli::parse_double(next(), "--sample-frac", usage);
     else if (a == "--quantile")
-      quantile = std::atof(next());
+      quantile = cli::parse_double(next(), "--quantile", usage);
     else if (a == "--lifeline-dim")
       lifeline_dim = cli::parse_int(next(), "--lifeline-dim", usage);
     else if (a == "--crash") {

@@ -293,7 +293,8 @@ int main(int argc, char** argv) {
     else if (a == "--steal-timeout")
       spec.steal_timeout_ns = cli::parse_u64(next(), "--steal-timeout", usage);
     else if (a == "--watchdog-ms")
-      spec.watchdog_ns = static_cast<std::uint64_t>(std::atof(next()) * 1e6);
+      spec.watchdog_ns = static_cast<std::uint64_t>(
+          cli::parse_double(next(), "--watchdog-ms", usage, 0.0, 1e13) * 1e6);
     else if (a == "--crash") {
       for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
         spec.crashes.push_back({ra.rank, ra.at_ns});
@@ -312,9 +313,9 @@ int main(int argc, char** argv) {
       else
         usage("unknown --seed-bug " + b);
     } else if (a == "--sample-frac")
-      spec.sample_frac = std::atof(next());
+      spec.sample_frac = cli::parse_double(next(), "--sample-frac", usage);
     else if (a == "--quantile")
-      spec.quantile = std::atof(next());
+      spec.quantile = cli::parse_double(next(), "--quantile", usage);
     else if (a == "--lifeline-dim")
       spec.lifeline_dim = cli::parse_int(next(), "--lifeline-dim", usage);
     else if (a == "--no-shrink")

@@ -142,52 +142,15 @@ ws::Algo parse_algo(const std::string& s) {
   usage("unknown algorithm label");
 }
 
-/// "RANK@NS[,RANK@NS...]" through the shared fault-plan codec; a malformed
-/// spec is a usage error.
-std::vector<pgas::RankAt> rank_at_list(const char* spec, const char* flag) {
+/// Run one call into the shared fault-plan codec; a malformed operand is a
+/// usage error.
+template <class F>
+auto codec(F&& parse) {
   try {
-    return pgas::parse_rank_at_list(spec, flag);
+    return parse();
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-}
-
-/// "MASK:START:HEAL[,...]" -> partition specs appended to the plan.
-void parse_partitions(const std::string& spec, pgas::FaultPlan& plan) {
-  if (spec.find('-') != std::string::npos)
-    usage("bad --partition spec (want MASK:START:HEAL[,...])");
-  const char* p = spec.c_str();
-  while (*p != '\0') {
-    unsigned long long mask = 0, start = 0, heal = 0;
-    int consumed = 0;
-    if (std::sscanf(p, "%llu:%llu:%llu%n", &mask, &start, &heal, &consumed) <
-        3)
-      usage("bad --partition spec (want MASK:START:HEAL[,...])");
-    pgas::PartitionSpec ps;
-    ps.group_mask = mask;
-    ps.start_ns = start;
-    ps.heal_ns = heal;
-    plan.partitions.push_back(ps);
-    p += consumed;
-    if (*p == ',')
-      ++p;
-    else if (*p != '\0')
-      usage("bad --partition spec (want MASK:START:HEAL[,...])");
-  }
-}
-
-/// "DUR[:PERIOD[:RANK]]" (ns, ns, rank id) -> stall fields of the plan.
-void parse_stall(const std::string& spec, pgas::FaultPlan& plan) {
-  if (spec.find('-') != std::string::npos)
-    usage("bad --stall spec (negative values; want DUR[:PERIOD[:RANK]])");
-  unsigned long long dur = 0, period = 0;
-  int rank = -1;
-  const int got = std::sscanf(spec.c_str(), "%llu:%llu:%d", &dur, &period,
-                              &rank);
-  if (got < 1 || dur == 0) usage("bad --stall spec (want DUR[:PERIOD[:RANK]])");
-  plan.stall_ns = dur;
-  plan.stall_period_ns = got >= 2 ? period : dur * 10;
-  plan.stall_rank = got >= 3 ? rank : -1;
 }
 
 }  // namespace
@@ -235,36 +198,38 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "-t")
-      tree.type = std::atoi(next()) == 0 ? uts::TreeType::kGeometric
-                                         : uts::TreeType::kBinomial;
+      tree.type = cli::parse_u64(next(), "-t", usage, 0, 1) == 0
+                      ? uts::TreeType::kGeometric
+                      : uts::TreeType::kBinomial;
     else if (a == "-b")
-      tree.b0 = std::atof(next());
+      tree.b0 = cli::parse_double(next(), "-b", usage, 0.0);
     else if (a == "-q")
-      tree.q = std::atof(next());
+      tree.q = cli::parse_double(next(), "-q", usage, 0.0, 1.0);
     else if (a == "-m")
-      tree.m = std::atoi(next());
+      tree.m = cli::parse_int(next(), "-m", usage);
     else if (a == "-g")
-      tree.gen_mx = std::atoi(next());
+      tree.gen_mx = cli::parse_int(next(), "-g", usage);
     else if (a == "-r")
-      tree.root_seed = static_cast<std::uint32_t>(std::atoi(next()));
+      tree.root_seed = static_cast<std::uint32_t>(
+          cli::parse_u64(next(), "-r", usage, 0, UINT32_MAX));
     else if (a == "-A")
       algo = parse_algo(next());
     else if (a == "-n")
-      nranks = std::atoi(next());
+      nranks = cli::parse_int(next(), "-n", usage, 1);
     else if (a == "-c")
-      chunk = std::atoi(next());
+      chunk = cli::parse_int(next(), "-c", usage, 1);
     else if (a == "-i")
-      poll = std::atoi(next());
+      poll = cli::parse_int(next(), "-i", usage, 1);
     else if (a == "--sample-frac")
-      sample_frac = std::atof(next());
+      sample_frac = cli::parse_double(next(), "--sample-frac", usage);
     else if (a == "--quantile")
-      quantile = std::atof(next());
+      quantile = cli::parse_double(next(), "--quantile", usage);
     else if (a == "--lifeline-dim")
-      lifeline_dim = std::atoi(next());
+      lifeline_dim = cli::parse_int(next(), "--lifeline-dim", usage);
     else if (a == "-e")
       engine_name = next();
     else if (a == "--workers") {
-      workers = std::atoi(next());
+      workers = cli::parse_int(next(), "--workers", usage);
       workers_set = true;
     }
     else if (a == "--net")
@@ -296,21 +261,24 @@ int main(int argc, char** argv) {
     else if (a == "--replay")
       replay_path = next();
     else if (a == "--stall")
-      parse_stall(next(), faults);
+      codec([&] { pgas::parse_stall(next(), "--stall", faults); });
     else if (a == "--drop-prob")
-      faults.drop_prob = std::atof(next());
+      faults.drop_prob = cli::parse_double(next(), "--drop-prob", usage);
     else if (a == "--dup-prob")
-      faults.dup_prob = std::atof(next());
+      faults.dup_prob = cli::parse_double(next(), "--dup-prob", usage);
     else if (a == "--steal-timeout") {
       steal_timeout_ns = cli::parse_u64(next(), "--steal-timeout", usage);
       steal_timeout_set = true;
     }
     else if (a == "--watchdog-ms")
-      watchdog_ms = std::atof(next());
+      watchdog_ms =
+          cli::parse_double(next(), "--watchdog-ms", usage, 0.0, 1e13);
     else if (a == "--deadline-ns" || a == "--deadline")
       deadline_ns = cli::parse_u64(next(), "--deadline-ns", usage);
     else if (a == "--crash") {
-      for (const pgas::RankAt& ra : rank_at_list(next(), "--crash"))
+      for (const pgas::RankAt& ra : codec([&] {
+             return pgas::parse_rank_at_list(next(), "--crash");
+           }))
         faults.crashes.push_back({ra.rank, ra.at_ns});
     } else if (a == "--crash-in-lock")
       crash_where = pgas::CrashSpec::Where::kInLock;
@@ -319,13 +287,20 @@ int main(int argc, char** argv) {
     else if (a == "--crash-detect")
       faults.crash_detect_ns = cli::parse_u64(next(), "--crash-detect", usage);
     else if (a == "--drain") {
-      for (const pgas::RankAt& ra : rank_at_list(next(), "--drain"))
+      for (const pgas::RankAt& ra : codec([&] {
+             return pgas::parse_rank_at_list(next(), "--drain");
+           }))
         faults.drains.push_back({ra.rank, ra.at_ns});
     } else if (a == "--join") {
-      for (const pgas::RankAt& ra : rank_at_list(next(), "--join"))
+      for (const pgas::RankAt& ra : codec([&] {
+             return pgas::parse_rank_at_list(next(), "--join");
+           }))
         faults.joins.push_back({ra.rank, ra.at_ns});
     } else if (a == "--partition") {
-      parse_partitions(next(), faults);
+      for (const pgas::PartitionSpec& ps : codec([&] {
+             return pgas::parse_partition_list(next(), "--partition");
+           }))
+        faults.partitions.push_back(ps);
     } else {
       usage(("unknown flag " + a).c_str());
     }
@@ -364,8 +339,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "uts_cli: %s\n", msg.c_str());
     std::exit(2);
   };
-  if (nranks < 1) fault_error("-n wants at least 1 rank");
-  if (chunk < 1) fault_error("-c wants a chunk size of at least 1");
   if (workers_set) {
     const unsigned hc = std::thread::hardware_concurrency();
     const int max_workers = hc > 0 ? static_cast<int>(hc) : 1;
@@ -373,19 +346,16 @@ int main(int argc, char** argv) {
       fault_error("--workers wants a thread count in [1," +
                   std::to_string(max_workers) + "] (hardware concurrency)");
   }
-  if (poll < 1) fault_error("-i wants a poll interval of at least 1");
   if (!(sample_frac > 0.0) || sample_frac > 1.0)
     fault_error("--sample-frac wants a value in (0,1]");
   if (quantile < 0.0 || quantile > 1.0)
     fault_error("--quantile wants a value in [0,1]");
-  if (lifeline_dim < 0) fault_error("--lifeline-dim must be >= 0");
   if (!timeline_path.empty() && report_path.empty())
     fault_error("--timeline requires --report (the span log it exports is "
                 "only assembled for reported runs)");
   if (psim_window_metrics && engine_name != "psim")
     fault_error("--psim-window-metrics requires -e psim (window telemetry "
                 "only exists under the conservative-PDES engine)");
-  if (watchdog_ms < 0.0) fault_error("--watchdog-ms must be >= 0");
   try {
     pgas::validate_plan(faults, nranks);
   } catch (const std::invalid_argument& e) {
@@ -402,7 +372,8 @@ int main(int argc, char** argv) {
   else if (net_name == "free")
     rcfg.net = pgas::NetModel::free();
   else if (net_name.rfind("hier:", 0) == 0)
-    rcfg.net = pgas::NetModel::hierarchical(std::atoi(net_name.c_str() + 5));
+    rcfg.net = pgas::NetModel::hierarchical(
+        cli::parse_int(net_name.c_str() + 5, "--net hier:", usage, 1));
   else
     usage("unknown --net");
 

@@ -207,7 +207,11 @@ ReplayFile read_replay(std::istream& is) {
     } else {
       bad("unknown key " + key);
     }
-    if (ls.fail() && !ls.eof()) bad("malformed value for key " + key);
+    // `trail` reads to the end of the line and may be empty; every other
+    // key has a fixed field list that must parse whole, with nothing after.
+    std::string rest;
+    if (key == "trail" ? !ls.eof() : ls.fail() || ls >> rest)
+      bad("malformed value for key " + key);
   }
   if (!have_trail) bad("missing trail line");
   try {

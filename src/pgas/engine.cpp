@@ -2,7 +2,24 @@
 
 #include <cstring>
 
+#include "pgas/run_setup.hpp"
+#include "sim/fiber.hpp"
+
 namespace upcws::pgas {
+
+void Ctx::unlock(Lock& l) {
+  if (dead_) return;  // a crashed holder never releases; see revocation
+  // Both guards for the same reason: unlock is reached from noexcept
+  // destructors (~LockGuard), where neither an injected crash nor a pending
+  // fiber cancel() may throw. The shield keeps Fiber::yield_current from
+  // delivering a cancellation out of the charge below; off a fiber (real
+  // threads) it does nothing.
+  const sim::Fiber::CancelShield shield;
+  in_unlock_ = true;
+  charge_ref(l.owner);
+  in_unlock_ = false;
+  lock_word_release(l);
+}
 
 void Ctx::bulk_get(void* dst, const void* src, std::size_t bytes, int owner) {
   std::uint64_t c = jittered(net().bulk_ns(rank(), owner, bytes));
@@ -25,6 +42,23 @@ void Ctx::bulk_put(void* dst, const void* src, std::size_t bytes, int owner) {
     std::atomic_thread_fence(std::memory_order_release);
   });
   note_remote_op(owner, ObsSink::OpKind::kBulkPut);
+}
+
+RunSetup::RunSetup(const RunConfig& cfg)
+    : lease_ns(cfg.lock_lease_ns != 0 ? cfg.lock_lease_ns : 1'000'000ull),
+      injectors_(static_cast<std::size_t>(cfg.nranks)) {
+  if (cfg.faults.any())
+    for (int r = 0; r < cfg.nranks; ++r)
+      injectors_[r] = std::make_unique<FaultInjector>(cfg.faults, cfg.seed, r);
+  if (!cfg.faults.crashes_enabled() && !cfg.faults.membership_enabled())
+    return;
+  live = cfg.liveness;
+  if (live == nullptr) {
+    own_live_ =
+        std::make_unique<Liveness>(cfg.nranks, cfg.faults.crash_detect_ns);
+    live = own_live_.get();
+  }
+  if (cfg.faults.joins_enabled()) live->apply_join_plan(cfg.faults);
 }
 
 }  // namespace upcws::pgas

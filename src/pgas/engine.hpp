@@ -1,16 +1,25 @@
 // Execution-engine abstraction: the UPC-thread programming surface.
 //
 // Every load-balancing algorithm in src/ws is written once against Ctx and
-// runs unchanged on two engines:
+// runs unchanged on three engines:
 //
 //   * SimEngine    — cooperative fibers with a virtual clock (src/sim).
 //                    Remote references, locks, and polling advance virtual
 //                    time per the NetModel; the run's "elapsed time" is the
 //                    simulated makespan. This is how the paper's scaling
 //                    studies are reproduced on one physical core.
+//   * PsimEngine   — the same virtual-time semantics sharded over OS worker
+//                    threads (src/psim). Its rank context is SimEngine's
+//                    (pgas/sim_ctx.hpp) plus one mediated_op override that
+//                    ships cross-shard accesses to the owner's worker, so
+//                    its output is byte-identical to SimEngine's.
 //   * ThreadEngine — real std::thread execution with real synchronization.
 //                    Used by tests to validate the protocols under genuine
 //                    preemption and memory-ordering pressure.
+//
+// The Ctx base owns what the engines share: the rank's identity, its RNG,
+// its fault/liveness/telemetry hooks and the lock-word protocol. An engine
+// supplies only its clock (now_ns, charge, yield) and blocking lock().
 //
 // Ctx mirrors the UPC features the paper leans on:
 //   shared-variable references with affinity-dependent cost   -> charge_ref
@@ -65,7 +74,7 @@ class OpRef {
 };
 
 /// A UPC-style lock with affinity. The lock word is always manipulated via
-/// Ctx so both engines and the cost model see every operation.
+/// Ctx so every engine and the cost model see every operation.
 ///
 /// The lock word packs a 32-bit *epoch* above the holder id. Under crash
 /// injection (RunConfig::faults.crashes) every hold also publishes a lease
@@ -197,10 +206,12 @@ class ObsSink {
 class Ctx {
  public:
   virtual ~Ctx() = default;
+  Ctx(const Ctx&) = delete;
+  Ctx& operator=(const Ctx&) = delete;
 
-  virtual int rank() const = 0;
-  virtual int nranks() const = 0;
-  virtual const NetModel& net() const = 0;
+  int rank() const { return rank_; }
+  int nranks() const { return nranks_; }
+  const NetModel& net() const { return net_; }
 
   /// Elapsed time for this rank: virtual ns (sim) or wall ns (threads).
   virtual std::uint64_t now_ns() = 0;
@@ -218,14 +229,17 @@ class Ctx {
   virtual void lock(Lock& l) = 0;
 
   /// Single acquisition attempt; charges one reference cost.
-  virtual bool try_lock(Lock& l) = 0;
+  bool try_lock(Lock& l) {
+    charge_ref(l.owner);
+    return lock_word_acquire(l);
+  }
 
   /// Release `l`; must hold it. Charges one reference cost.
-  virtual void unlock(Lock& l) = 0;
+  void unlock(Lock& l);
 
   /// Deterministic per-rank random stream (probe order etc.); seeded from
   /// (RunConfig::seed, rank) so simulation runs are exactly reproducible.
-  virtual std::mt19937_64& rng() = 0;
+  std::mt19937_64& rng() { return rng_; }
 
   /// Execute the raw-memory half of a mediated PGAS operation against data
   /// owned by `owner`. The cost has already been charged (charge_ref /
@@ -434,6 +448,21 @@ class Ctx {
   }
 
  protected:
+  /// Identity and per-run hooks of one rank. `faults`, `live` and `obs` may
+  /// be null (that fault class / telemetry is off); `lease_ns` only matters
+  /// with a liveness board.
+  Ctx(int rank, int nranks, const NetModel& net, std::uint64_t seed,
+      FaultInjector* faults, Liveness* live, std::uint64_t lease_ns,
+      ObsSink* obs)
+      : faults_(faults),
+        obs_(obs),
+        live_(live),
+        lease_ns_(lease_ns),
+        rank_(rank),
+        nranks_(nranks),
+        net_(net),
+        rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)) {}
+
   /// Hook for the progress watchdog (node-count progress); engines that
   /// support the watchdog override this. Must be free of cost accounting.
   virtual void note_progress() {}
@@ -460,7 +489,7 @@ class Ctx {
     throw RankCrashed{rank(), t};
   }
 
-  /// One acquisition attempt on the packed lock word; shared by both
+  /// One acquisition attempt on the packed lock word; shared by all
   /// engines. In crash mode a held lock whose holder is detected dead and
   /// whose lease has expired is revoked — acquired under a bumped epoch in
   /// a single CAS, so exactly one contender wins the revocation.
@@ -505,17 +534,17 @@ class Ctx {
       ++stale_unlocks_;
   }
 
-  /// Set by the engine before the body runs when RunConfig::faults has any
-  /// fault enabled; otherwise stays null and every hook is skipped.
-  FaultInjector* faults_ = nullptr;
+  /// Non-null only when RunConfig::faults has any fault enabled; otherwise
+  /// every hook is skipped.
+  FaultInjector* const faults_;
 
   /// Telemetry sink (RunConfig::obs); null disables every observation hook.
-  ObsSink* obs_ = nullptr;
+  ObsSink* const obs_;
 
   /// Crash-mode state; all null/zero (and every gate skipped) unless the
-  /// plan injects crashes.
-  Liveness* live_ = nullptr;
-  std::uint64_t lease_ns_ = 0;
+  /// plan injects crashes or membership changes.
+  Liveness* const live_;
+  const std::uint64_t lease_ns_;
   bool dead_ = false;
   int lock_depth_ = 0;
   bool in_steal_ = false;
@@ -525,6 +554,10 @@ class Ctx {
   std::vector<RevokeEvent> revoke_log_;
 
  private:
+  const int rank_;
+  const int nranks_;
+  const NetModel& net_;
+  std::mt19937_64 rng_;
   std::uint64_t msg_seq_ = 0;
 };
 
@@ -557,7 +590,7 @@ class StealScope {
   Ctx& c_;
 };
 
-/// Per-run configuration shared by both engines.
+/// Per-run configuration shared by all engines.
 struct RunConfig {
   int nranks = 4;
   NetModel net{};
@@ -569,7 +602,7 @@ struct RunConfig {
   std::size_t fiber_stack_bytes = 256 * 1024;
   /// Fault-injection plan, seeded from (seed, rank); all-zero (default)
   /// disables injection entirely — see pgas/faults.hpp. Stalls and message
-  /// drop/dup work under both engines; latency spikes need the cost model
+  /// drop/dup work under every engine; latency spikes need the cost model
   /// (sim, or threads with delay injection).
   FaultPlan faults{};
   /// Sim only: progress watchdog. If no rank visits a tree node for this

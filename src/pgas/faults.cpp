@@ -154,6 +154,40 @@ std::uint64_t FaultInjector::duplicate_delay(std::uint64_t wire_ns,
   return delay;
 }
 
+namespace {
+
+/// Split `spec` at commas and parse each piece with `one`.
+template <class F>
+auto parse_list(const std::string& spec, F one) {
+  std::vector<decltype(one(spec))> out;
+  for (std::size_t b = 0;;) {
+    const std::size_t e = spec.find(',', b);
+    out.push_back(one(spec.substr(b, e - b)));
+    if (e == std::string::npos) return out;
+    b = e + 1;
+  }
+}
+
+/// Split `operand` at colons into whole unsigned decimals (from_chars into
+/// an unsigned type takes digits only: no sign, no blanks). Empty on any
+/// malformed piece.
+std::vector<std::uint64_t> colon_fields(const std::string& operand) {
+  std::vector<std::uint64_t> out;
+  const char* p = operand.data();
+  const char* const end = p + operand.size();
+  for (;;) {
+    std::uint64_t v = 0;
+    const auto r = std::from_chars(p, end, v);
+    if (r.ec != std::errc()) return {};
+    out.push_back(v);
+    if (r.ptr == end) return out;
+    if (*r.ptr != ':') return {};
+    p = r.ptr + 1;
+  }
+}
+
+}  // namespace
+
 RankAt parse_rank_at(const std::string& operand, const std::string& what) {
   // from_chars into unsigned types takes digits only: no sign, no blanks.
   const char* const end = operand.data() + operand.size();
@@ -172,13 +206,35 @@ RankAt parse_rank_at(const std::string& operand, const std::string& what) {
 
 std::vector<RankAt> parse_rank_at_list(const std::string& spec,
                                        const std::string& what) {
-  std::vector<RankAt> out;
-  for (std::size_t b = 0;;) {
-    const std::size_t e = spec.find(',', b);
-    out.push_back(parse_rank_at(spec.substr(b, e - b), what));
-    if (e == std::string::npos) return out;
-    b = e + 1;
-  }
+  return parse_list(spec, [&](const std::string& s) {
+    return parse_rank_at(s, what);
+  });
+}
+
+void parse_stall(const std::string& operand, const std::string& what,
+                 FaultPlan& plan) {
+  const std::vector<std::uint64_t> f = colon_fields(operand);
+  // Without PERIOD the default 10 * DUR must not wrap.
+  if (f.empty() || f.size() > 3 || f[0] == 0 ||
+      (f.size() == 1 && f[0] > UINT64_MAX / 10) ||
+      (f.size() >= 2 && f[1] == 0) || (f.size() == 3 && f[2] > INT_MAX))
+    throw std::invalid_argument("bad " + what + " operand '" + operand +
+                                "' (want DUR[:PERIOD[:RANK]], DUR and "
+                                "PERIOD > 0)");
+  plan.stall_ns = f[0];
+  plan.stall_period_ns = f.size() >= 2 ? f[1] : f[0] * 10;
+  plan.stall_rank = f.size() == 3 ? static_cast<int>(f[2]) : -1;
+}
+
+std::vector<PartitionSpec> parse_partition_list(const std::string& spec,
+                                                const std::string& what) {
+  return parse_list(spec, [&](const std::string& s) {
+    const std::vector<std::uint64_t> f = colon_fields(s);
+    if (f.size() != 3)
+      throw std::invalid_argument("bad " + what + " operand '" + s +
+                                  "' (want MASK:START:HEAL)");
+    return PartitionSpec{f[0], f[1], f[2]};
+  });
 }
 
 void validate_plan(const FaultPlan& plan, int nranks,

@@ -175,6 +175,18 @@ RankAt parse_rank_at(const std::string& operand, const std::string& what);
 std::vector<RankAt> parse_rank_at_list(const std::string& spec,
                                        const std::string& what);
 
+/// Parse a stall operand "DUR[:PERIOD[:RANK]]" (ns, ns, rank id) of `what`
+/// into the plan's stall fields: freeze for ~DUR roughly every PERIOD
+/// (default 10*DUR) on RANK only (default -1, all ranks). Digits only, DUR
+/// and PERIOD > 0.
+void parse_stall(const std::string& operand, const std::string& what,
+                 FaultPlan& plan);
+
+/// Parse "MASK:START:HEAL[,MASK:START:HEAL...]" partitions of `what`
+/// (digits only; the shape is left to validate_plan).
+std::vector<PartitionSpec> parse_partition_list(const std::string& spec,
+                                                const std::string& what);
+
 /// Check `plan` against `nranks`: every rank in range, no join of rank 0,
 /// probabilities in [0,1], partitions that heal after they start and leave
 /// both sides nonempty. Messages name the entry as `prefix` + flag or key

@@ -1,183 +1,22 @@
 #include "pgas/sim_engine.hpp"
 
-#include <memory>
-#include <vector>
-
-#include "sim/scheduler.hpp"
+#include "pgas/run_setup.hpp"
+#include "pgas/sim_ctx.hpp"
 
 namespace upcws::pgas {
-namespace {
-
-class SimCtx final : public Ctx {
- public:
-  SimCtx(sim::Scheduler& sched, int rank, int nranks, const NetModel& net,
-         std::uint64_t seed, FaultInjector* faults, Liveness* live,
-         std::uint64_t lease_ns, ObsSink* obs)
-      : sched_(sched),
-        rank_(rank),
-        nranks_(nranks),
-        net_(net),
-        rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)) {
-    faults_ = faults;
-    live_ = live;
-    lease_ns_ = lease_ns;
-    obs_ = obs;
-  }
-
-  int rank() const override { return rank_; }
-  int nranks() const override { return nranks_; }
-  const NetModel& net() const override { return net_; }
-  std::uint64_t now_ns() override { return sched_.now(rank_); }
-  // The current slice began when the accumulated quantum was last reset:
-  // everything charged since then belongs to the slice keyed at now - acc.
-  std::uint64_t slice_now_ns() override { return sched_.now(rank_) - acc_; }
-
-  void charge(std::uint64_t ns) override {
-    if (dead_) return;  // a crashed rank's clock is frozen at its death
-    // Zero-latency local ops (the free/shared-memory cost models return 0
-    // for local references) change neither the clock nor the accumulated
-    // quantum; skip the whole interaction bookkeeping. Only sound without
-    // a fault plan: maybe_crash() below may owe a crash at this instant.
-    if (ns == 0 && faults_ == nullptr) return;
-    maybe_crash();
-    sched_.advance(ns);
-    // Causality bound: a fiber that charges a lot of virtual time without
-    // reaching an explicit interaction point must not keep executing (its
-    // stores would become visible to fibers far behind it in virtual
-    // time). Once a quantum of charge accumulates, hand control back so the
-    // scheduler can let the laggards catch up first.
-    acc_ += ns;
-    if (acc_ >= kChargeQuantumNs) {
-      acc_ = 0;
-      maybe_stall();
-      if (obs_ != nullptr) obs_->on_tick(rank_, sched_.now(rank_));
-      sched_.yield();
-    }
-  }
-
-  void yield() override {
-    if (dead_) return;
-    maybe_crash();
-    // A fault-plan stall lands at the interaction point — including inside
-    // a critical section, which is exactly how a frozen lock holder is
-    // modeled (the stalled rank's clock jumps; contenders spin behind it).
-    maybe_stall();
-    // Guarantee progress in virtual time on every interaction so that spin
-    // loops cannot livelock the scheduler at a frozen clock.
-    sched_.advance(net_.poll_ns > 0 ? net_.poll_ns : 1);
-    acc_ = 0;
-    if (obs_ != nullptr) obs_->on_tick(rank_, sched_.now(rank_));
-    sched_.yield();
-  }
-
-  void lock(Lock& l) override {
-    // One reference to reach the lock word; further spins each pay a
-    // reference too (remote spinning is exactly what makes contended remote
-    // locks so costly in UPC, paper §3.1/§3.3.3).
-    charge_ref(l.owner);
-    // Cooperative fibers: no preemption between the check and the store, so
-    // compare_exchange never spuriously races here — the spin models time,
-    // not memory contention. Under crash injection the acquire attempt also
-    // revokes a dead holder's expired lease, so a crashed lock holder stalls
-    // contenders for at most detect latency + lease.
-    if (lock_word_acquire(l)) return;
-    const std::uint64_t wait_from = sched_.now(rank_);
-    do {
-      sched_.yield();
-      charge_ref(l.owner);
-    } while (!lock_word_acquire(l));
-    if (obs_ != nullptr) {
-      const std::uint64_t now = sched_.now(rank_);
-      obs_->on_lock_wait(rank_, now, now - wait_from);
-    }
-  }
-
-  bool try_lock(Lock& l) override {
-    charge_ref(l.owner);
-    return lock_word_acquire(l);
-  }
-
-  void unlock(Lock& l) override {
-    if (dead_) return;  // a crashed holder never releases; see revocation
-    // Both guards for the same reason: unlock is reached from noexcept
-    // destructors (~LockGuard), where neither an injected crash nor a
-    // pending cancel() may throw. The shield keeps Fiber::yield_current
-    // from delivering a cancellation out of the charge below.
-    const sim::Fiber::CancelShield shield;
-    in_unlock_ = true;
-    charge_ref(l.owner);
-    in_unlock_ = false;
-    lock_word_release(l);
-  }
-
-  std::mt19937_64& rng() override { return rng_; }
-
- protected:
-  void note_progress() override { sched_.note_progress(); }
-
- private:
-  void maybe_stall() {
-    if (faults_ == nullptr) return;
-    const std::uint64_t t = sched_.now(rank_);
-    const std::uint64_t s = faults_->stall_due(t);
-    if (s > 0) {
-      sched_.advance(s);
-      if (obs_ != nullptr) obs_->on_stall(rank_, t, s);
-    }
-  }
-
-  sim::Scheduler& sched_;
-  int rank_;
-  int nranks_;
-  const NetModel& net_;
-  std::mt19937_64 rng_;
-  std::uint64_t acc_ = 0;
-};
-
-}  // namespace
 
 RunResult SimEngine::run(const RunConfig& cfg,
                          const std::function<void(Ctx&)>& body) {
-  sim::Scheduler::Config scfg;
-  scfg.vt_limit_ns =
-      cfg.vt_limit_ns != 0 ? cfg.vt_limit_ns : 10'000'000'000'000ull;
-  scfg.stack_bytes = cfg.fiber_stack_bytes;
-  scfg.watchdog_ns = cfg.watchdog_ns;
-  scfg.hang_report = cfg.hang_reporter;
-  scfg.policy = cfg.schedule_policy;
-  scfg.policy_window_ns = cfg.schedule_window_ns;
-  const bool inject = cfg.faults.any();
-  std::vector<std::unique_ptr<FaultInjector>> injectors(cfg.nranks);
-  for (int r = 0; r < cfg.nranks; ++r)
-    if (inject)
-      injectors[r] = std::make_unique<FaultInjector>(cfg.faults, cfg.seed, r);
-
-  // Crash injection and membership changes (drains/joins) need a liveness
-  // board; use the caller's (so it can be read after the run / in hang
-  // reports) or make one for the run.
-  const bool need_live =
-      cfg.faults.crashes_enabled() || cfg.faults.membership_enabled();
-  std::unique_ptr<Liveness> own_live;
-  Liveness* live = cfg.liveness;
-  if (need_live && live == nullptr) {
-    own_live = std::make_unique<Liveness>(cfg.nranks,
-                                          cfg.faults.crash_detect_ns);
-    live = own_live.get();
-  }
-  if (need_live && cfg.faults.joins_enabled())
-    live->apply_join_plan(cfg.faults);
-  const std::uint64_t lease_ns =
-      cfg.lock_lease_ns != 0 ? cfg.lock_lease_ns : 1'000'000ull;
-
-  // Declared after the injectors on purpose: on abnormal teardown (time
+  const RunSetup setup(cfg);
+  // Declared after the setup on purpose: on abnormal teardown (time
   // limit, hang watchdog) ~Scheduler cancel-unwinds suspended fibers, and
   // destructors on those stacks may still charge time through a Ctx that
   // dereferences its injector.
-  sim::Scheduler sched(scfg);
+  sim::Scheduler sched(scheduler_config(cfg));
   for (int r = 0; r < cfg.nranks; ++r) {
     sched.spawn([&, r] {
-      SimCtx ctx(sched, r, cfg.nranks, cfg.net, cfg.seed, injectors[r].get(),
-                 need_live ? live : nullptr, lease_ns, cfg.obs);
+      SimCtx ctx(sched, r, r, cfg.nranks, cfg.net, cfg.seed, setup.faults(r),
+                 setup.live, setup.lease_ns, cfg.obs);
       try {
         body(ctx);
       } catch (const RankCrashed&) {

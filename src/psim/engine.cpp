@@ -15,8 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "pgas/run_setup.hpp"
+#include "pgas/sim_ctx.hpp"
 #include "pgas/sim_engine.hpp"
-#include "sim/scheduler.hpp"
 
 namespace upcws::psim {
 namespace {
@@ -107,91 +108,18 @@ struct Runtime {
   std::mutex teardown_mu;
 };
 
-/// Mirror of SimEngine's SimCtx (same charge/yield/lock bodies, so clocks,
-/// RNG draws, and interaction points are identical), plus the mediation
-/// override that ships cross-shard accesses to the owner's worker.
-class PsimCtx final : public pgas::Ctx {
+/// SimEngine's rank context plus the mediation override that ships
+/// cross-shard accesses to the owner's worker.
+class PsimCtx final : public pgas::SimCtx {
  public:
-  PsimCtx(Runtime& rt, int shard_idx, int rank, int nranks,
-          const pgas::NetModel& net, std::uint64_t seed,
-          pgas::FaultInjector* faults, pgas::ObsSink* obs)
-      : rt_(rt),
+  PsimCtx(Runtime& rt, int shard_idx, int rank, const pgas::RunConfig& cfg,
+          const pgas::RunSetup& setup)
+      : SimCtx(*rt.shards[shard_idx].sched, rank - rt.shards[shard_idx].lo,
+               rank, cfg.nranks, cfg.net, cfg.seed, setup.faults(rank),
+               setup.live, setup.lease_ns, cfg.obs),
+        rt_(rt),
         shard_(rt.shards[shard_idx]),
-        sched_(*shard_.sched),
-        shard_idx_(shard_idx),
-        rank_(rank),
-        local_(rank - shard_.lo),
-        nranks_(nranks),
-        net_(net),
-        rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)) {
-    faults_ = faults;
-    obs_ = obs;
-    // live_ / lease stay null: crash and membership plans take the
-    // sequential lane (their recovery paths read remote memory raw).
-  }
-
-  int rank() const override { return rank_; }
-  int nranks() const override { return nranks_; }
-  const pgas::NetModel& net() const override { return net_; }
-  std::uint64_t now_ns() override { return sched_.now(local_); }
-  std::uint64_t slice_now_ns() override { return sched_.now(local_) - acc_; }
-
-  void charge(std::uint64_t ns) override {
-    if (dead_) return;
-    if (ns == 0 && faults_ == nullptr) return;
-    maybe_crash();
-    sched_.advance(ns);
-    acc_ += ns;
-    if (acc_ >= pgas::kChargeQuantumNs) {
-      acc_ = 0;
-      maybe_stall();
-      if (obs_ != nullptr) obs_->on_tick(rank_, sched_.now(local_));
-      sched_.yield();
-    }
-  }
-
-  void yield() override {
-    if (dead_) return;
-    maybe_crash();
-    maybe_stall();
-    sched_.advance(net_.poll_ns > 0 ? net_.poll_ns : 1);
-    acc_ = 0;
-    if (obs_ != nullptr) obs_->on_tick(rank_, sched_.now(local_));
-    sched_.yield();
-  }
-
-  void lock(pgas::Lock& l) override {
-    // Locks are only safe intra-shard (the lock word is accessed raw); no
-    // parallel-eligible protocol uses them — the locked family is routed
-    // to the sequential lane by ws::run_search's mediation promise.
-    charge_ref(l.owner);
-    if (lock_word_acquire(l)) return;
-    const std::uint64_t wait_from = sched_.now(local_);
-    do {
-      sched_.yield();
-      charge_ref(l.owner);
-    } while (!lock_word_acquire(l));
-    if (obs_ != nullptr) {
-      const std::uint64_t now = sched_.now(local_);
-      obs_->on_lock_wait(rank_, now, now - wait_from);
-    }
-  }
-
-  bool try_lock(pgas::Lock& l) override {
-    charge_ref(l.owner);
-    return lock_word_acquire(l);
-  }
-
-  void unlock(pgas::Lock& l) override {
-    if (dead_) return;
-    const sim::Fiber::CancelShield shield;
-    in_unlock_ = true;
-    charge_ref(l.owner);
-    in_unlock_ = false;
-    lock_word_release(l);
-  }
-
-  std::mt19937_64& rng() override { return rng_; }
+        shard_idx_(shard_idx) {}
 
   void mediated_op(int owner, std::uint64_t cost, pgas::OpRef op) override {
     // Same-shard accesses take the sequential path verbatim: the shard is
@@ -210,47 +138,23 @@ class PsimCtx final : public pgas::Ctx {
     // so that slice may only run in a later window, after the owner shard
     // has stepped past the event's timestamp (the event would arrive at the
     // barrier one window late). The charge (>= lookahead + quantum)
-    // always trips the quantum, so replay its body inline — crash check,
+    // always trips the quantum, so run its body inline — crash check,
     // advance, stall, tick — then ship the op keyed at the post-charge
     // instant (>= window bound, so barrier delivery is always in time) and
     // park in place of the quantum yield. The wake-resume after the owner
     // applies the op is the counted scheduling step the sequential engine's
     // yield would have taken, so switch totals stay identical.
-    maybe_crash();
-    sched_.advance(cost);
-    acc_ = 0;
-    maybe_stall();
-    if (obs_ != nullptr) obs_->on_tick(rank_, sched_.now(local_));
-    shard_.parked_keys.insert({sched_.now(local_), local_});
+    advance_quantum(cost);
+    shard_.parked_keys.insert({now_ns(), task_});
     shard_.out_events[rt_.rank_shard[owner]].push_back(
-        Event{sched_.now(local_), rank_, op, shard_idx_, local_});
+        Event{now_ns(), rank(), op, shard_idx_, task_});
     sched_.park_current();
   }
 
- protected:
-  void note_progress() override { sched_.note_progress(); }
-
  private:
-  void maybe_stall() {
-    if (faults_ == nullptr) return;
-    const std::uint64_t t = sched_.now(local_);
-    const std::uint64_t s = faults_->stall_due(t);
-    if (s > 0) {
-      sched_.advance(s);
-      if (obs_ != nullptr) obs_->on_stall(rank_, t, s);
-    }
-  }
-
   Runtime& rt_;
   Shard& shard_;
-  sim::Scheduler& sched_;
-  int shard_idx_;
-  int rank_;
-  int local_;
-  int nranks_;
-  const pgas::NetModel& net_;
-  std::mt19937_64 rng_;
-  std::uint64_t acc_ = 0;
+  const int shard_idx_;
 };
 
 /// Execute one conservative window on one shard: local slices, pending
@@ -380,10 +284,6 @@ const char* PsimEngine::fallback_reason(const pgas::RunConfig& cfg,
   return nullptr;
 }
 
-bool PsimEngine::parallel_eligible(const pgas::RunConfig& cfg, int workers) {
-  return fallback_reason(cfg, workers) == nullptr;
-}
-
 pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
                                 const std::function<void(pgas::Ctx&)>& body) {
   stats_ = Stats{};
@@ -395,20 +295,11 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
   }
   const int W = std::min(workers_, cfg.nranks);
 
-  sim::Scheduler::Config scfg;
-  scfg.vt_limit_ns =
-      cfg.vt_limit_ns != 0 ? cfg.vt_limit_ns : 10'000'000'000'000ull;
-  scfg.stack_bytes = cfg.fiber_stack_bytes;
+  sim::Scheduler::Config scfg = pgas::scheduler_config(cfg);
   // The watchdog is a *global* condition (min pending key vs last global
   // progress); it is checked at the window barrier, not per shard.
   scfg.watchdog_ns = 0;
-
-  const bool inject = cfg.faults.any();
-  std::vector<std::unique_ptr<pgas::FaultInjector>> injectors(cfg.nranks);
-  for (int r = 0; r < cfg.nranks; ++r)
-    if (inject)
-      injectors[r] =
-          std::make_unique<pgas::FaultInjector>(cfg.faults, cfg.seed, r);
+  const pgas::RunSetup setup(cfg);
 
   Runtime rt;
   rt.lookahead = lookahead_ns(cfg.net, cfg.nranks, W);
@@ -435,9 +326,8 @@ pgas::RunResult PsimEngine::run(const pgas::RunConfig& cfg,
   for (int i = 0; i < W; ++i) {
     Shard& s = rt.shards[i];
     for (int r = s.lo; r < s.hi; ++r) {
-      s.sched->spawn([&rt, &cfg, &body, &injectors, i, r] {
-        PsimCtx ctx(rt, i, r, cfg.nranks, cfg.net, cfg.seed,
-                    injectors[r].get(), cfg.obs);
+      s.sched->spawn([&rt, &cfg, &body, &setup, i, r] {
+        PsimCtx ctx(rt, i, r, cfg, setup);
         try {
           body(ctx);
         } catch (const pgas::RankCrashed&) {

@@ -388,6 +388,26 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
   }
 }
 
+// A key line that runs out of values, or carries more than its fields, must
+// not load with defaults standing in for the missing values.
+TEST(CheckReplayFile, RejectsTruncatedLines) {
+  const std::string head = "upcws-replay v1\nalgo upc-distmem\nnranks 4\n";
+  for (const char* line :
+       {"nranks\n", "chunk\n", "tree binomial 0\n", "tree binomial 0 64 2\n",
+        "run-seed\n", "stall 100 1000\n", "partition 3 100\n",
+        "crash 1@5000\n", "oracle\n", "algo\n", "nranks 4 4\n",
+        "chunk 2x\n", "drop-prob 0.1 junk\n", "window-ns 100000 7\n"}) {
+    std::stringstream ss(head + line + "oracle none\ntrail\n");
+    EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
+  }
+  // Trailing blanks are not junk, and an empty trail is a valid trail.
+  std::stringstream ok(head + "chunk 2  \nstall 100 1000 -1\ntrail\n");
+  const check::ReplayFile rf = check::read_replay(ok);
+  EXPECT_EQ(rf.spec.chunk, 2);
+  EXPECT_EQ(rf.spec.stall_period_ns, 1000u);
+  EXPECT_TRUE(rf.trail.empty());
+}
+
 // Crash/drain/join operands go through the shared fault-plan codec and the
 // plan is checked against nranks: an impossible plan must not load (a
 // negative time would otherwise wrap to ~1.8e19 ns and never fire).

@@ -220,25 +220,21 @@ TEST(CrashRecovery, CrashFreePlanStaysByteIdentical) {
 // ---------------------------------------------------------------------------
 // Lock lease / revocation unit tests (no search, just the lock word).
 
+const pgas::NetModel kLeaseTestNet = pgas::NetModel::free();
+
 /// Minimal concrete Ctx so the protected lock_word_acquire/release helpers
 /// (the lease protocol) can be driven directly with a hand-rolled clock
 /// and liveness board.
 class LeaseTestCtx : public pgas::Ctx {
  public:
   LeaseTestCtx(int rank, pgas::Liveness* lv, std::uint64_t lease_ns)
-      : rank_(rank) {
-    live_ = lv;
-    lease_ns_ = lease_ns;
-  }
+      : Ctx(rank, 2, kLeaseTestNet, 1, nullptr, lv, lease_ns, nullptr) {}
 
   std::uint64_t now = 0;
 
   bool acquire(pgas::Lock& l) { return lock_word_acquire(l); }
   void release(pgas::Lock& l) { lock_word_release(l); }
 
-  int rank() const override { return rank_; }
-  int nranks() const override { return 2; }
-  const pgas::NetModel& net() const override { return net_; }
   std::uint64_t now_ns() override { return now; }
   void charge(std::uint64_t) override {}
   void yield() override {}
@@ -246,14 +242,6 @@ class LeaseTestCtx : public pgas::Ctx {
     while (!lock_word_acquire(l)) {
     }
   }
-  bool try_lock(pgas::Lock& l) override { return lock_word_acquire(l); }
-  void unlock(pgas::Lock& l) override { lock_word_release(l); }
-  std::mt19937_64& rng() override { return rng_; }
-
- private:
-  int rank_;
-  pgas::NetModel net_ = pgas::NetModel::free();
-  std::mt19937_64 rng_{1};
 };
 
 TEST(LockLease, WordPacksEpochAndHolder) {

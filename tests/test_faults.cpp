@@ -64,6 +64,63 @@ TEST(FaultPlanCodec, ParsesRankAtListsStrictly) {
   }
 }
 
+TEST(FaultPlanCodec, ParsesStallsStrictly) {
+  pgas::FaultPlan p;
+  pgas::parse_stall("1000", "--stall", p);
+  EXPECT_EQ(p.stall_ns, 1000u);
+  EXPECT_EQ(p.stall_period_ns, 10'000u);  // default period: 10 * DUR
+  EXPECT_EQ(p.stall_rank, -1);            // default: every rank
+  pgas::parse_stall("2000:20000", "--stall", p);
+  EXPECT_EQ(p.stall_period_ns, 20'000u);
+  EXPECT_EQ(p.stall_rank, -1);
+  pgas::parse_stall("10000000000:1000:3", "--stall", p);
+  EXPECT_EQ(p.stall_ns, 10'000'000'000u);
+  EXPECT_EQ(p.stall_period_ns, 1000u);
+  EXPECT_EQ(p.stall_rank, 3);
+  for (const char* bad :
+       {"", "0", "1000x", "1000:abc", "1000:", ":1000", "1000:0", "-5",
+        "1000:-5", "1000:100:-1", "1000:100:3:4", "1000:100:2147483648",
+        " 1000", "1000 ", "18446744073709551616",
+        "1844674407370955162"}) {  // 10 * DUR would wrap
+    pgas::FaultPlan q;
+    EXPECT_THROW(pgas::parse_stall(bad, "--stall", q), std::invalid_argument)
+        << bad;
+    EXPECT_EQ(q.stall_ns, 0u) << bad;  // a rejected operand sets nothing
+  }
+  try {
+    pgas::parse_stall("1000x", "--stall", p);
+    FAIL() << "junk accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bad --stall operand '1000x' (want DUR[:PERIOD[:RANK]], DUR "
+              "and PERIOD > 0)");
+  }
+}
+
+TEST(FaultPlanCodec, ParsesPartitionListsStrictly) {
+  const auto v =
+      pgas::parse_partition_list("6:10:20,1:0:18446744073709551615", "--p");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].group_mask, 6u);
+  EXPECT_EQ(v[0].start_ns, 10u);
+  EXPECT_EQ(v[0].heal_ns, 20u);
+  EXPECT_EQ(v[1].group_mask, 1u);
+  EXPECT_EQ(v[1].heal_ns, UINT64_MAX);
+  for (const char* bad :
+       {"", "3:9", "3:9:9:9", "3:9:9x", "3:9:9,", ",3:9:9", "-3:9:9",
+        "3:-9:9", "3::9", "3: 9:9", "3:9:18446744073709551616"})
+    EXPECT_THROW(pgas::parse_partition_list(bad, "--partition"),
+                 std::invalid_argument)
+        << bad;
+  try {
+    pgas::parse_partition_list("3:9:9,5:1", "--partition");
+    FAIL() << "short operand accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "bad --partition operand '5:1' (want MASK:START:HEAL)");
+  }
+}
+
 TEST(FaultPlanCodec, ValidatesPlanAgainstRankCount) {
   pgas::FaultPlan ok;
   ok.crashes.push_back({3, 100});

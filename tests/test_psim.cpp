@@ -210,32 +210,34 @@ TEST(Psim, ParallelEligibility) {
   rc.nranks = 8;
   rc.net = pgas::NetModel::distributed();
   rc.remote_ops_mediated = true;
-  EXPECT_TRUE(psim::PsimEngine::parallel_eligible(rc, 4));
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(rc, 1));
+  EXPECT_EQ(psim::PsimEngine::fallback_reason(rc, 4), nullptr);
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(rc, 1), "too-few-lanes");
 
   pgas::RunConfig one = rc;
   one.nranks = 1;
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(one, 4));
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(one, 4), "too-few-lanes");
 
   pgas::RunConfig raw = rc;
   raw.remote_ops_mediated = false;
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(raw, 4));
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(raw, 4), "unmediated");
 
   pgas::RunConfig crash = rc;
   pgas::CrashSpec cs;
   cs.rank = 1;
   cs.at_ns = 1000;
   crash.faults.crashes.push_back(cs);
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(crash, 4));
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(crash, 4), "crash-plan");
 
   pgas::RunConfig member = rc;
   member.faults.drains.push_back(pgas::DrainSpec{1, 1000});
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(member, 4));
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(member, 4),
+               "membership-plan");
 
   // Free net: every op costs 0, no safe window exists.
   pgas::RunConfig free_net = rc;
   free_net.net = pgas::NetModel::free();
-  EXPECT_FALSE(psim::PsimEngine::parallel_eligible(free_net, 4));
+  EXPECT_STREQ(psim::PsimEngine::fallback_reason(free_net, 4),
+               "zero-lookahead");
 }
 
 TEST(Psim, MemoryLeanFourThousandRanks) {
