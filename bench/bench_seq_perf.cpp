@@ -3,12 +3,15 @@
 // The paper reports 2.10 M nodes/s on Topsail (Xeon E5345) and 2.39 M
 // nodes/s on Kitty Hawk (Xeon E5150), noting the rate "primarily reflects
 // the speed at which the processor can calculate SHA-1 hash evaluations".
-// This bench measures (a) raw SHA-1 throughput, (b) the real sequential UTS
-// rate on this machine, and (c) the virtual-time rate the simulator's cost
-// model is calibrated to. Every result notes which SHA-1 compression kernel
-// ran (`sha1_kernel`: sha-ni or portable, chosen from CPUID).
+// This bench measures (a) raw SHA-1 throughput, (b) the cost of one
+// compression through each SHA-1 kernel this CPU can run, (c) the real
+// sequential UTS rate on this machine, and (d) the virtual-time rate the
+// simulator's cost model is calibrated to. Every result notes which SHA-1
+// compression kernel ran (`sha1_kernel`: sha-ni or portable, chosen from
+// CPUID).
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "common.hpp"
 #include "sha1/kernels.hpp"
@@ -35,6 +38,28 @@ double sha1_mbps(std::size_t block, double seconds_budget) {
     }
   }
   return static_cast<double>(bytes) / sw.seconds() / 1e6;
+}
+
+// Keeps the compression chain's result observable.
+volatile std::uint32_t g_sink = 0;
+
+/// ns per compression through `kernel`, each block folding into the
+/// previous state (a dependent chain, as one UTS path down the tree is).
+double compress_ns(sha1::detail::Kernel kernel, double seconds_budget) {
+  sha1::detail::State st = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                            0x10325476u, 0xC3D2E1F0u};
+  std::uint8_t block[64] = {};
+  block[24] = 0x80;
+  block[63] = 192;
+  benchutil::Stopwatch sw;
+  std::uint64_t n = 0;
+  while (sw.seconds() < seconds_budget) {
+    for (int i = 0; i < 1024; ++i) kernel(st, block);
+    n += 1024;
+  }
+  const double ns = sw.seconds() * 1e9 / static_cast<double>(n);
+  g_sink = st[0];
+  return ns;
 }
 
 }  // namespace
@@ -68,6 +93,23 @@ int main(int argc, char** argv) {
   }
   std::printf("\nSHA-1 throughput (this machine):\n");
   sha.print(std::cout);
+
+  stats::Table comp({"SHA-1 compression kernel", "ns/block"});
+  const std::pair<const char*, sha1::detail::Kernel> kernels[] = {
+      {"portable", &sha1::detail::compress_portable},
+      {"sha-ni", sha1::detail::sha_ni_kernel()}};
+  for (const auto& [name, fn] : kernels) {
+    if (fn == nullptr) {
+      comp.add_row({name, "skipped: CPU lacks SHA-NI or not an x86 build"});
+      continue;
+    }
+    const double ns = compress_ns(fn, 0.2);
+    comp.add_row({name, stats::Table::fmt(ns, 1)});
+    rep.result(std::string("sha1_compress_") + name)
+        .metric("ns_per_block", ns);
+  }
+  std::printf("\nOne SHA-1 compression per kernel (dependent chain):\n");
+  comp.print(std::cout);
 
   const auto r = uts::search_sequential(tree);
   if (!r) {

@@ -51,8 +51,7 @@ class Stopwatch {
 
 /// Collects named results with numeric metrics and emits them as a
 /// schema-versioned JSON document (`upcws-bench-v1`) that
-/// tools/compare_bench.py validates and diffs against a checked-in
-/// baseline. One reporter per bench binary.
+/// tools/compare_bench.py validates. One reporter per bench binary.
 class BenchReporter {
  public:
   /// A single benchmark configuration's measurements.

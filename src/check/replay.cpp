@@ -1,7 +1,9 @@
 #include "check/replay.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,6 +48,28 @@ pgas::CrashSpec::Where where_from(const std::string& s) {
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("replay: " + what);
 }
+
+/// `is >> Digits{v}` reads the next word as a whole decimal that fits v's
+/// type, and sets failbit otherwise. from_chars into an unsigned type takes
+/// digits only: no sign, no blanks, so "-1" fails instead of wrapping.
+template <class T>
+struct Digits {
+  T& v;
+
+  friend std::istream& operator>>(std::istream& is, Digits d) {
+    std::string word;
+    if (!(is >> word)) return is;
+    const char* const end = word.data() + word.size();
+    std::uint64_t v = 0;
+    const auto r = std::from_chars(word.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end ||
+        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+      is.setstate(std::ios::failbit);
+    else
+      d.v = static_cast<T>(v);
+    return is;
+  }
+};
 
 /// A crash/drain/join operand, through the shared fault-plan codec.
 pgas::RankAt rank_at(const std::string& operand, const std::string& key) {
@@ -132,37 +156,40 @@ ReplayFile read_replay(std::istream& is) {
       ls >> v;
       rf.spec.algo = algo_from_label(v);
     } else if (key == "nranks") {
-      ls >> rf.spec.nranks;
+      ls >> Digits{rf.spec.nranks};
     } else if (key == "chunk") {
-      ls >> rf.spec.chunk;
+      ls >> Digits{rf.spec.chunk};
     } else if (key == "net") {
       ls >> rf.spec.net;
       net_by_name(rf.spec.net);  // validate
     } else if (key == "tree") {
       std::string t;
       int shape = 0;
-      ls >> t >> rf.spec.tree.root_seed >> rf.spec.tree.b0 >> rf.spec.tree.m >>
-          rf.spec.tree.q >> rf.spec.tree.gen_mx >> shape >>
+      ls >> t >> Digits{rf.spec.tree.root_seed} >> rf.spec.tree.b0 >>
+          Digits{rf.spec.tree.m} >> rf.spec.tree.q >>
+          Digits{rf.spec.tree.gen_mx} >> Digits{shape} >>
           rf.spec.tree.shift_depth;
       rf.spec.tree.type = tree_type_from(t);
       rf.spec.tree.shape = static_cast<uts::GeomShape>(shape);
     } else if (key == "run-seed") {
-      ls >> rf.spec.run_seed;
+      ls >> Digits{rf.spec.run_seed};
     } else if (key == "steal-timeout-ns") {
-      ls >> rf.spec.steal_timeout_ns;
+      ls >> Digits{rf.spec.steal_timeout_ns};
     } else if (key == "watchdog-ns") {
-      ls >> rf.spec.watchdog_ns;
+      ls >> Digits{rf.spec.watchdog_ns};
     } else if (key == "vt-limit-ns") {
-      ls >> rf.spec.vt_limit_ns;
+      ls >> Digits{rf.spec.vt_limit_ns};
     } else if (key == "crash") {
       std::string at, where;
       ls >> at >> where;
       const pgas::RankAt ra = rank_at(at, key);
       rf.spec.crashes.push_back({ra.rank, ra.at_ns, where_from(where)});
     } else if (key == "crash-detect-ns") {
-      ls >> rf.spec.crash_detect_ns;
+      ls >> Digits{rf.spec.crash_detect_ns};
     } else if (key == "stall") {
-      ls >> rf.spec.stall_ns >> rf.spec.stall_period_ns >> rf.spec.stall_rank;
+      // The rank may be -1: every rank stalls.
+      ls >> Digits{rf.spec.stall_ns} >> Digits{rf.spec.stall_period_ns} >>
+          rf.spec.stall_rank;
     } else if (key == "drop-prob") {
       ls >> rf.spec.drop_prob;
     } else if (key == "dup-prob") {
@@ -179,14 +206,14 @@ ReplayFile read_replay(std::istream& is) {
       rf.spec.joins.push_back({ra.rank, ra.at_ns});
     } else if (key == "partition") {
       pgas::PartitionSpec p;
-      ls >> p.group_mask >> p.start_ns >> p.heal_ns;
+      ls >> Digits{p.group_mask} >> Digits{p.start_ns} >> Digits{p.heal_ns};
       rf.spec.partitions.push_back(p);
     } else if (key == "sample-frac") {
       ls >> rf.spec.sample_frac;
     } else if (key == "quantile") {
       ls >> rf.spec.quantile;
     } else if (key == "lifeline-dim") {
-      ls >> rf.spec.lifeline_dim;
+      ls >> Digits{rf.spec.lifeline_dim};
     } else if (key == "bug") {
       std::string v;
       ls >> v;
@@ -197,20 +224,23 @@ ReplayFile read_replay(std::istream& is) {
       else
         bad("unknown bug " + v);
     } else if (key == "window-ns") {
-      ls >> rf.window_ns;
+      ls >> Digits{rf.window_ns};
     } else if (key == "oracle") {
       ls >> rf.oracle;
     } else if (key == "trail") {
       have_trail = true;
-      unsigned v = 0;
-      while (ls >> v) rf.trail.push_back(static_cast<std::uint16_t>(v));
+      // Codes run to the end of the line; the eof() guards stop there
+      // without a failed read.
+      for (std::uint16_t c = 0;
+           !ls.eof() && !(ls >> std::ws).eof() && ls >> Digits{c};)
+        rf.trail.push_back(c);
     } else {
       bad("unknown key " + key);
     }
-    // `trail` reads to the end of the line and may be empty; every other
-    // key has a fixed field list that must parse whole, with nothing after.
+    // Every field must parse whole, with nothing after the last one (`trail`
+    // reads to the end of the line and may be empty).
     std::string rest;
-    if (key == "trail" ? !ls.eof() : ls.fail() || ls >> rest)
+    if (ls.fail() || ls >> rest)
       bad("malformed value for key " + key);
   }
   if (!have_trail) bad("missing trail line");

@@ -389,14 +389,24 @@ TEST(CheckReplayFile, RejectsMalformedInput) {
 }
 
 // A key line that runs out of values, or carries more than its fields, must
-// not load with defaults standing in for the missing values.
+// not load with defaults standing in for the missing values. Unsigned fields
+// take whole decimals only: a sign must not wrap to a huge value (run-seed -1
+// would load as 2^64 - 1), and a trail code too large for 16 bits must not
+// be truncated.
 TEST(CheckReplayFile, RejectsTruncatedLines) {
   const std::string head = "upcws-replay v1\nalgo upc-distmem\nnranks 4\n";
   for (const char* line :
        {"nranks\n", "chunk\n", "tree binomial 0\n", "tree binomial 0 64 2\n",
         "run-seed\n", "stall 100 1000\n", "partition 3 100\n",
         "crash 1@5000\n", "oracle\n", "algo\n", "nranks 4 4\n",
-        "chunk 2x\n", "drop-prob 0.1 junk\n", "window-ns 100000 7\n"}) {
+        "chunk 2x\n", "drop-prob 0.1 junk\n", "window-ns 100000 7\n",
+        "run-seed -1\n", "run-seed +5\n", "steal-timeout-ns -1\n",
+        "watchdog-ns -1\n", "vt-limit-ns -1\n", "crash-detect-ns -1\n",
+        "stall -100 1000 -1\n", "stall 100 -1000 -1\n",
+        "partition 3 100 -200\n", "window-ns -1\n",
+        "tree binomial -1 64 2 0.45 6 0 0.5\n",
+        "tree binomial 0 64 2 0.45 -6 0 0.5\n", "lifeline-dim -1\n",
+        "trail 1 65536\n", "trail 1 -2\n"}) {
     std::stringstream ss(head + line + "oracle none\ntrail\n");
     EXPECT_THROW(check::read_replay(ss), std::invalid_argument) << line;
   }
@@ -406,6 +416,12 @@ TEST(CheckReplayFile, RejectsTruncatedLines) {
   EXPECT_EQ(rf.spec.chunk, 2);
   EXPECT_EQ(rf.spec.stall_period_ns, 1000u);
   EXPECT_TRUE(rf.trail.empty());
+  // The largest values each field holds still load.
+  std::stringstream max(head +
+                        "run-seed 18446744073709551615\ntrail 0 65535 \n");
+  const check::ReplayFile big = check::read_replay(max);
+  EXPECT_EQ(big.spec.run_seed, 18446744073709551615u);
+  EXPECT_EQ(big.trail, (std::vector<std::uint16_t>{0, 65535}));
 }
 
 // Crash/drain/join operands go through the shared fault-plan codec and the

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "pgas/engine.hpp"
@@ -348,8 +349,11 @@ TEST(ThreadEngineCrash, ExactCountsUnderCrashes) {
 TEST(ThreadEngineCrash, LeaseRevocationUnderRealRaces) {
   // Many threads hammer one lock whose holder dies holding it; exactly one
   // contender may win each revocation and the lock must stay functional.
+  // The contenders start only once the holder is dead, so every run races
+  // them over a revocation (else they could finish before it took the lock).
   pgas::Liveness lv(8, 0);
   pgas::Lock l;
+  std::atomic<bool> holder_dead{false};
   std::atomic<int> in_cs{0};
   std::atomic<std::uint64_t> total_acquires{0};
   pgas::ThreadEngine eng;
@@ -362,8 +366,11 @@ TEST(ThreadEngineCrash, LeaseRevocationUnderRealRaces) {
       while (!me.acquire(l)) {
       }
       lv.mark_dead(0, 1);  // die holding the lock (lease already expired)
+      holder_dead.store(true, std::memory_order_release);
       return;
     }
+    while (!holder_dead.load(std::memory_order_acquire))
+      std::this_thread::yield();
     for (int i = 0; i < 200; ++i) {
       me.now = 100 + static_cast<std::uint64_t>(i);
       if (me.acquire(l)) {

@@ -3,6 +3,9 @@
 // protocols' correctness cannot depend on timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pgas/sim_engine.hpp"
 #include "pgas/thread_engine.hpp"
 #include "uts/sequential.hpp"
@@ -157,15 +160,31 @@ TEST(ThreadPerturbation, StragglerExactAndRoutedAround) {
   rcfg.nranks = 4;
   rcfg.net = pgas::NetModel::distributed();
   rcfg.net.straggler_rank = 1;
-  rcfg.net.straggler_work_factor = 8.0;
+  // 450 ns x 400 x 0.05 = 9 us of busy-wait per node, far above the host's
+  // own per-node cost (well under 1 us), so the straggler is by far the
+  // slowest rank on any host.
+  rcfg.net.straggler_work_factor = 400.0;
+  // Work stealing routes load away from the slow rank: it must not end up
+  // doing the largest share. Shares on real threads follow the host's
+  // scheduling, which can stop the other ranks for longer than a run lasts,
+  // so the claim is made on the median over repeats; every run must still
+  // count exactly.
+  constexpr int kRepeats = 5;
   for (ws::Algo a : ws::kAllAlgos) {
-    const auto r = ws::run_algo(eng, rcfg, a, prob, 2);
-    EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a);
-    // Work stealing routes load away from the slow rank: it must not end
-    // up doing the largest share.
-    std::uint64_t straggler = r.per_thread[1].c.nodes, most = 0;
-    for (const auto& t : r.per_thread) most = std::max(most, t.c.nodes);
-    EXPECT_LT(straggler, most) << ws::algo_label(a);
+    std::vector<std::uint64_t> straggler, most_other;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const auto r = ws::run_algo(eng, rcfg, a, prob, 2);
+      EXPECT_EQ(r.total_nodes(), want) << ws::algo_label(a);
+      std::uint64_t most = 0;
+      for (std::size_t i = 0; i < r.per_thread.size(); ++i)
+        if (i != 1) most = std::max(most, r.per_thread[i].c.nodes);
+      straggler.push_back(r.per_thread[1].c.nodes);
+      most_other.push_back(most);
+    }
+    std::sort(straggler.begin(), straggler.end());
+    std::sort(most_other.begin(), most_other.end());
+    EXPECT_LT(straggler[kRepeats / 2], most_other[kRepeats / 2])
+        << ws::algo_label(a);
   }
 }
 
